@@ -37,16 +37,17 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
+.PHONY: all check vet build test race perfbench-test bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
 
 all: check
 
 # check is the full gate: vet, build everything, race-enabled tests, the
 # chaos suite (fault injection + resilience) on its own for a readable
 # verdict, the SLO-engine smoke, the coverage floors, a one-iteration
-# bench smoke so benchmark code can't rot, and the loadgen smoke run so
-# the open-loop harness keeps driving a real server end to end.
-check: vet build race chaos slo-smoke cover bench-smoke loadgen-smoke
+# bench smoke so benchmark code can't rot, the benchmark module's own
+# tests, and the loadgen smoke run so the open-loop harness keeps driving
+# a real server end to end.
+check: vet build race perfbench-test chaos slo-smoke cover bench-smoke loadgen-smoke
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +60,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-test vets and race-tests the benchmark harness (its own Go
+# module, so ./... above does not reach it): an internal API change that
+# breaks the harness fails here instead of in a benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
 
 # bench runs every benchmark family with allocation accounting and records
 # the parsed results as a JSON trajectory point (see docs/PERFORMANCE.md

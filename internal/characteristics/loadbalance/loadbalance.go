@@ -171,6 +171,7 @@ type Mediator struct {
 	strategy string
 	members  []string                // endpoints
 	loads    map[string]float64      // endpoint → last reported active count
+	inflight map[string]int          // endpoint → this mediator's outstanding calls
 	sent     map[string]uint64       // endpoint → requests routed there
 	bindings map[string]*qos.Binding // endpoint → per-worker binding
 	rr       int
@@ -201,6 +202,7 @@ func NewMediator(st *qos.Stub, b *qos.Binding) (*Mediator, error) {
 		stub:         st,
 		members:      endpoints,
 		loads:        make(map[string]float64),
+		inflight:     make(map[string]int),
 		sent:         make(map[string]uint64),
 		bindings:     make(map[string]*qos.Binding),
 		rng:          rand.New(rand.NewSource(42)),
@@ -319,15 +321,19 @@ func (m *Mediator) pick(dead map[string]bool) (string, error) {
 	case StrategyRandom:
 		ep = alive[m.rng.Intn(len(alive))]
 	case StrategyLeastLoaded:
-		// Scan from a rotating offset so equally loaded workers share
-		// traffic instead of the first always winning ties.
+		// A worker's load is its last reported active count plus the
+		// calls this mediator has outstanding there: reports ride on
+		// replies, so a slow worker's backlog shows up locally long
+		// before its report does. Scan from a rotating offset so equally
+		// loaded workers share traffic instead of the first always
+		// winning ties.
 		start := m.rr % len(alive)
 		m.rr++
 		ep = alive[start]
-		best := m.loads[ep]
+		best := m.loadOf(ep)
 		for k := 1; k < len(alive); k++ {
 			cand := alive[(start+k)%len(alive)]
-			if l := m.loads[cand]; l < best {
+			if l := m.loadOf(cand); l < best {
 				best, ep = l, cand
 			}
 		}
@@ -355,6 +361,18 @@ func (m *Mediator) pick(dead map[string]bool) (string, error) {
 	}
 	m.sent[ep]++
 	return ep, nil
+}
+
+// loadOf is the least-loaded ranking of an endpoint. Callers hold m.mu.
+func (m *Mediator) loadOf(ep string) float64 {
+	return m.loads[ep] + float64(m.inflight[ep])
+}
+
+// track shifts this mediator's outstanding-call count for an endpoint.
+func (m *Mediator) track(ep string, delta int) {
+	m.mu.Lock()
+	m.inflight[ep] += delta
+	m.mu.Unlock()
 }
 
 // targetFor clones the cluster reference onto a worker endpoint.
@@ -401,7 +419,9 @@ func (m *Mediator) Deliver(ctx context.Context, inv *orb.Invocation, next qos.Ne
 			BindingID:      binding.ID,
 			Module:         binding.Module,
 		}.Encode())
+		m.track(ep, 1)
 		out, err := next(ctx, routed)
+		m.track(ep, -1)
 		if err != nil {
 			if isTransportError(err) {
 				dead[ep] = true

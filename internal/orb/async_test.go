@@ -185,7 +185,7 @@ func TestConnTeardownFailsPendingFutures(t *testing.T) {
 }
 
 // TestRegisterOnDeadConnReturnsWindowSlot exercises the register error
-// path: once the connection's sticky error is set, sendAsync must fail
+// path: once the connection's sticky error is set, send must fail
 // fast, return its window slot, and leave the window empty.
 func TestRegisterOnDeadConnReturnsWindowSlot(t *testing.T) {
 	w := newWorld(t)
@@ -200,8 +200,8 @@ func TestRegisterOnDeadConnReturnsWindowSlot(t *testing.T) {
 	conn.window = make(chan struct{}, 1)
 	conn.close(NewSystemException(ExcCommFailure, 99, "induced teardown"))
 
-	if _, registered, err := conn.sendAsync(context.Background(), echoInvocation(w.client, w.ref, "x", false), acquireFuture()); err == nil {
-		t.Fatal("sendAsync on a dead connection succeeded")
+	if _, registered, err := conn.send(context.Background(), echoInvocation(w.client, w.ref, "x", false), acquireFuture()); err == nil {
+		t.Fatal("send on a dead connection succeeded")
 	} else if !isNotSent(err) {
 		t.Fatalf("want NotSentError, got %v", err)
 	} else if registered {
@@ -218,7 +218,7 @@ func TestRegisterOnDeadConnReturnsWindowSlot(t *testing.T) {
 }
 
 // writeFailConn is a net.Conn whose writes always fail, driving the
-// registered-then-write-failed sendAsync path deterministically.
+// registered-then-write-failed send path deterministically.
 type writeFailConn struct{}
 
 func (writeFailConn) Read(p []byte) (int, error)       { return 0, io.EOF }
@@ -232,11 +232,11 @@ func (writeFailConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestSendAsyncWriteErrorLeavesFutureToCloser pins the registered-write-
 // error contract: when the frame write fails after the request entered
-// the pending map, sendAsync reports registered=true, the connection
+// the pending map, send reports registered=true, the connection
 // teardown completes the future with the COMM_FAILURE cause, and the
 // failure is NOT retry-safe (the request may have partially left the
 // process). The caller must not pool the future on this path — a racing
-// closer may still hold the reference — so invokeAsync hands it back
+// closer may still hold the reference — so dispatchAsync hands it back
 // instead of releasing it.
 func TestSendAsyncWriteErrorLeavesFutureToCloser(t *testing.T) {
 	w := newWorld(t)
@@ -248,7 +248,7 @@ func TestSendAsyncWriteErrorLeavesFutureToCloser(t *testing.T) {
 	inv := echoInvocation(w.client, w.ref, "doomed", false)
 	fut.inv = inv
 
-	_, registered, err := conn.sendAsync(context.Background(), inv, fut)
+	_, registered, err := conn.send(context.Background(), inv, fut)
 	if err == nil {
 		t.Fatal("write on a failing connection succeeded")
 	}

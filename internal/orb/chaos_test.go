@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -71,20 +72,46 @@ func echoInvocation(o *ORB, ref *ior.IOR, msg string, idempotent bool) *Invocati
 	}
 }
 
+// healOnDial heals a partition behind the first dial that fails, so the
+// next dial gets through.
+type healOnDial struct {
+	netsim.Transport
+	heal func()
+}
+
+func (h *healOnDial) Dial(addr string) (net.Conn, error) {
+	c, err := h.Transport.Dial(addr)
+	if err != nil {
+		h.heal()
+	}
+	return c, err
+}
+
 func TestRetryRedialsAfterConnLoss(t *testing.T) {
-	w, bundle := newResilientWorld(t, fastRetry())
+	w, _ := newResilientWorld(t, fastRetry())
+	bundle := obs.New()
+	client := New(Options{
+		Transport: &healOnDial{
+			Transport: w.net.Host("client"),
+			heal:      func() { w.net.Heal("client", "server") },
+		},
+		Observability: bundle,
+		Resilience:    fastRetry(),
+	})
+	t.Cleanup(client.Shutdown)
 	ctx := context.Background()
 
 	// Prime the connection pool.
-	out, err := w.client.Invoke(ctx, echoInvocation(w.client, w.ref, "warm", true))
+	out, err := client.Invoke(ctx, echoInvocation(client, w.ref, "warm", true))
 	if err != nil || out.Err() != nil {
 		t.Fatalf("warm-up failed: %v / %v", err, out.Err())
 	}
-	// Sever the pooled connection, then heal so a re-dial can succeed.
+	// Sever the pooled connection. The partition holds until the first
+	// re-dial fails, so the call fails at least once whether it or the
+	// read loop notices the dead connection first.
 	w.net.Partition("client", "server")
-	w.net.Heal("client", "server")
 
-	out, err = w.client.Invoke(ctx, echoInvocation(w.client, w.ref, "again", true))
+	out, err = client.Invoke(ctx, echoInvocation(client, w.ref, "again", true))
 	if err != nil {
 		t.Fatalf("idempotent invocation not retried over fresh conn: %v", err)
 	}
@@ -308,8 +335,7 @@ func TestChaosFlightRecorderAcceptance(t *testing.T) {
 		`maqs_breaker_state{endpoint="server:9000"} 1`, // Open = 1
 		"maqs_retry_attempts_total",
 		"maqs_retry_backoff_seconds_count",
-		"maqs_orb_pending_pool_hits_total",
-		"maqs_orb_pending_pool_misses_total",
+		"maqs_orb_future_pool_hits_total",
 		"maqs_cdr_encoder_pool_hits_total",
 		"maqs_giop_frame_pool_hits_total",
 		"maqs_giop_frame_bytes_count",

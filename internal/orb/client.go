@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"maqs/internal/cdr"
 	"maqs/internal/giop"
 	"maqs/internal/obs"
 )
@@ -18,8 +19,8 @@ import (
 type iiopModule struct {
 	orb *ORB
 
-	// Per-request counters, atomic because account() sits on the hot
-	// path of every invocation.
+	// Per-request counters, atomic because they sit on the hot path of
+	// every invocation.
 	requestsSent atomic.Uint64
 	bytesSent    atomic.Uint64
 	bytesRecv    atomic.Uint64
@@ -36,85 +37,63 @@ func (m *iiopModule) Stats() (requests, bytesSent, bytesRecv uint64) {
 	return m.requestsSent.Load(), m.bytesSent.Load(), m.bytesRecv.Load()
 }
 
-func (m *iiopModule) account(sent, recv int) {
-	m.requestsSent.Add(1)
-	m.bytesSent.Add(uint64(sent))
-	m.bytesRecv.Add(uint64(recv))
+// Send implements TransportModule: put the request on the wire, then wait
+// on its Future. The wire.send span covers the whole round trip. For a
+// oneway request Send returns as soon as the frame is written. Send
+// returns LOCATION_FORWARD replies as they are; ORB.Invoke follows them.
+func (m *iiopModule) Send(ctx context.Context, inv *Invocation) (*Outcome, error) {
+	var f *Future
+	if inv.ResponseExpected {
+		f = m.orb.prepare(ctx, inv, nil)
+		// The caller follows forwards itself (see Future.Wait).
+		f.orb = nil
+	}
+	sp, registered, err := m.dispatch(ctx, inv, f)
+	var out *Outcome
+	switch {
+	case err != nil:
+		if f != nil && !registered {
+			f.release()
+		}
+	case f == nil:
+		out = &Outcome{Status: giop.ReplyNoException, Order: m.orb.opts.Order}
+	default:
+		out, err = f.Wait(ctx)
+		if sp != nil && out != nil {
+			sp.SetAttr("bytes_recv", strconv.Itoa(len(out.Data)))
+		}
+	}
+	sp.RecordError(err)
+	sp.End()
+	return out, err
 }
 
-// Send implements TransportModule. When the context carries a span, the
-// wire leg gets its own child span whose context is injected into the
-// request's SCTrace service context — this is the point where the trace
-// crosses the process boundary, so the server's dispatch span becomes a
-// child of the innermost client-side stage.
-func (m *iiopModule) Send(ctx context.Context, inv *Invocation) (*Outcome, error) {
-	ctx, sp := obs.StartChild(ctx, "wire.send")
+// dispatch writes inv's request frame under a wire.send span and returns
+// the span still open, so the caller decides how much of the call it
+// covers. The span's context goes into the request's SCTrace service
+// context: this is where the trace crosses the process boundary, so the
+// server's dispatch span becomes a child of the wire span. A nil f sends
+// a oneway request. registered follows the clientConn.send contract.
+func (m *iiopModule) dispatch(ctx context.Context, inv *Invocation, f *Future) (sp *obs.Span, registered bool, err error) {
+	ctx, sp = obs.StartChild(ctx, "wire.send")
 	if sp != nil {
 		sp.SetOperation(inv.Operation)
 		inv.Contexts = inv.Contexts.With(giop.SCTrace, sp.Context().Traceparent())
 	}
-	addr := inv.Target.Profile.Addr()
-	conn, err := m.orb.getConn(addr)
+	conn, err := m.orb.getConn(inv.Target.Profile.Addr())
 	if err != nil {
 		// The request never left this process: mark it retry-safe.
-		err = notSent(err)
-		sp.RecordError(err)
-		sp.End()
-		return nil, err
+		return sp, false, notSent(err)
 	}
-	inv.Stripe = conn.slot + 1
-	out, sent, recv, err := conn.roundTrip(ctx, inv)
+	sent, registered, err := conn.send(ctx, inv, f)
 	if err == nil {
-		m.account(sent, recv)
+		m.requestsSent.Add(1)
+		m.bytesSent.Add(uint64(sent))
 	}
 	if sp != nil {
-		if out != nil {
-			// Graft the server's returned span summaries into our trace
-			// before the wire span ends, so the sampler sees the whole
-			// tree when the trace quiesces.
-			m.orb.absorbTraceReturn(out.Contexts)
-		}
 		sp.SetAttr("bytes_sent", strconv.Itoa(sent))
-		sp.SetAttr("bytes_recv", strconv.Itoa(recv))
-		sp.RecordError(err)
-		sp.End()
 	}
-	return out, err
-}
-
-// pendingReply is the rendezvous for one in-flight request. Instances are
-// pooled: the goroutine that receives from ch owns the object and returns
-// it to the pool. Paths that abandon the rendezvous (timeout, write error)
-// leave it to the garbage collector — a racing reply may still be sent to
-// ch, and pooling a channel with a stale Outcome buffered would hand that
-// Outcome to an unrelated future request.
-//
-// When fut is non-nil the registration belongs to an asynchronous call:
-// the read loop resolves the future instead of sending on ch, and the
-// pendingReply itself (whose channel was never exposed) goes straight
-// back to the pool.
-type pendingReply struct {
-	ch  chan *Outcome
-	fut *Future
-}
-
-// pendingPoolGets/Misses are process-global pool telemetry (a Get that
-// fell through to New is a miss). SetObservability exposes them as
-// callback counters.
-var (
-	pendingPoolGets   atomic.Uint64
-	pendingPoolMisses atomic.Uint64
-)
-
-var pendingPool = sync.Pool{New: func() any {
-	pendingPoolMisses.Add(1)
-	return &pendingReply{ch: make(chan *Outcome, 1)}
-}}
-
-// PendingPoolStats reports cumulative pendingReply pool gets and misses
-// (process-global, across all ORBs).
-func PendingPoolStats() (gets, misses uint64) {
-	return pendingPoolGets.Load(), pendingPoolMisses.Load()
+	return sp, registered, err
 }
 
 // clientConn multiplexes concurrent requests over one connection.
@@ -146,7 +125,7 @@ type clientConn struct {
 
 	mu            sync.Mutex
 	nextID        uint32
-	pending       map[uint32]*pendingReply
+	pending       map[uint32]*Future
 	pendingLocate map[uint32]chan giop.LocateStatus
 	err           error // sticky failure
 }
@@ -159,7 +138,7 @@ func newClientConn(o *ORB, addr string, raw net.Conn, slot int) *clientConn {
 		slot:          slot,
 		pendingGauge:  o.Metrics().Gauge(`maqs_stripe_pending{endpoint="` + addr + `"}`),
 		inflightGauge: o.Metrics().Gauge(`maqs_pipeline_inflight{endpoint="` + addr + `",stripe="` + strconv.Itoa(slot) + `"}`),
-		pending:       make(map[uint32]*pendingReply),
+		pending:       make(map[uint32]*Future),
 		pendingLocate: make(map[uint32]chan giop.LocateStatus),
 	}
 	if d := o.opts.PipelineDepth; d > 0 {
@@ -178,9 +157,8 @@ func (c *clientConn) trackPending(delta int32) {
 
 // acquireWindow blocks until a pipeline slot is free (no-op when
 // pipelining is unbounded). timeout bounds the blocking wait when ctx
-// carries no deadline — the asynchronous dispatch path stores
-// Options.RequestTimeout on the future instead of wrapping its context
-// the way ORB.Invoke does, so without this bound a full window against a
+// carries no deadline: a future stores Options.RequestTimeout instead of
+// wrapping its context, so without this bound a full window against a
 // stalled server would block a deadline-less dispatch forever. Pass 0
 // when ctx is already bounded. The timer is armed only on the blocked
 // slow path, keeping the uncontended dispatch allocation-free. It must
@@ -224,87 +202,55 @@ func (c *clientConn) releaseWindow(n int) {
 	}
 }
 
-// register allocates a request id and, when a response is expected, its
-// rendezvous. A non-nil fut registers an asynchronous call: the read loop
-// will resolve the future instead of the rendezvous channel. The caller
-// must hold a pipeline window slot (acquireWindow) for reply-expecting
-// registrations; register fails fast on a dead connection so the slot can
-// be returned.
-func (c *clientConn) register(wantReply bool, fut *Future) (uint32, *pendingReply, error) {
+// register allocates a request id and, for a non-nil fut, enters the
+// future in the pending map so the read loop can complete it. The caller
+// must hold a pipeline window slot (acquireWindow) for a future; register
+// fails fast on a dead connection so the slot can be returned.
+func (c *clientConn) register(fut *Future) (uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		return 0, nil, c.err
+		return 0, c.err
 	}
 	c.nextID++
 	id := c.nextID
-	if !wantReply {
-		return id, nil, nil
+	if fut != nil {
+		// Stamped before the future becomes visible to the read loop,
+		// whose completion seals the flight record.
+		fut.conn, fut.id = c, id
+		fut.fl.rec.Stripe = c.slot
+		c.pending[id] = fut
+		c.trackPending(1)
 	}
-	pendingPoolGets.Add(1)
-	p := pendingPool.Get().(*pendingReply)
-	p.fut = fut
-	c.pending[id] = p
-	c.trackPending(1)
-	return id, p, nil
+	return id, nil
 }
 
 func (c *clientConn) unregister(id uint32) {
 	c.mu.Lock()
-	p, ok := c.pending[id]
+	_, ok := c.pending[id]
 	if ok {
 		delete(c.pending, id)
 		c.trackPending(-1)
 	}
 	c.mu.Unlock()
 	if ok {
-		// An abandoned async registration's pendingReply never exposed
-		// its channel; scrub the future reference and recycle it.
-		if p.fut != nil {
-			p.fut = nil
-			pendingPool.Put(p)
-		}
 		c.releaseWindow(1)
 	}
 }
 
-// roundTrip sends the invocation and waits for the reply (unless oneway).
-// It reports the encoded request and reply sizes for accounting.
-func (c *clientConn) roundTrip(ctx context.Context, inv *Invocation) (out *Outcome, sent, recv int, err error) {
-	if inv.ResponseExpected {
-		// The synchronous path's context is already RequestTimeout-bounded
-		// by ORB.Invoke, so no extra window timeout applies.
-		if werr := c.acquireWindow(ctx, 0); werr != nil {
-			// No slot was taken and nothing was sent.
-			return nil, 0, 0, notSent(werr)
-		}
-	}
-	id, p, err := c.register(inv.ResponseExpected, nil)
+// stage registers fut (nil: oneway) under a fresh request id and
+// marshals inv's request — GIOP request header, then the argument
+// payload — into e. It is the step every request writer shares.
+func (c *clientConn) stage(e *cdr.Encoder, inv *Invocation, fut *Future) error {
+	id, err := c.register(fut)
 	if err != nil {
-		// The pooled connection was already dead; nothing was sent.
-		if inv.ResponseExpected {
-			c.releaseWindow(1)
-		}
-		return nil, 0, 0, notSent(err)
+		return err
 	}
-	order := c.orb.opts.Order
-
-	// Encode-phase timing covers marshal through frame write; zero cost
-	// on the uninstrumented path.
-	ob := c.orb.obsState.Load()
-	var encStart time.Time
-	if ob != nil {
-		encStart = time.Now()
-	}
-
-	// The request frame is marshalled into a pooled encoder with the GIOP
-	// header reserved up front, so header and body leave in one Write and
-	// the buffer is recycled as soon as the frame is on the wire.
-	e := giop.AcquireFrameEncoder(order)
+	inv.Stripe = c.slot + 1
 	h := giop.RequestHeader{
 		Contexts:         inv.Contexts,
 		RequestID:        id,
-		ResponseExpected: inv.ResponseExpected,
+		ResponseExpected: fut != nil,
 		ObjectKey:        inv.Target.Profile.ObjectKey,
 		Operation:        inv.Operation,
 	}
@@ -312,96 +258,52 @@ func (c *clientConn) roundTrip(ctx context.Context, inv *Invocation) (out *Outco
 	// The argument payload is spliced in as an octet sequence so its CDR
 	// alignment is self-contained (see package doc).
 	e.WriteOctets(inv.Args)
-	sent = e.Len()
-
-	c.writeMu.Lock()
-	err = giop.WriteFrame(c.raw, giop.MsgRequest, e, c.orb.opts.MaxFragment)
-	c.writeMu.Unlock()
-	e.Release()
-	if ob != nil && err == nil {
-		enc := time.Since(encStart)
-		inv.encodeNs = int64(enc)
-		ob.phase(inv.Binding).encode.Observe(enc)
-	}
-	if err != nil {
-		c.close(NewSystemException(ExcCommFailure, 2, "writing request to %s: %v", c.addr, err))
-		if p != nil {
-			c.unregister(id)
-		}
-		return nil, 0, 0, NewSystemException(ExcCommFailure, 2, "writing request to %s: %v", c.addr, err)
-	}
-
-	if !inv.ResponseExpected {
-		return &Outcome{Status: giop.ReplyNoException, Order: order}, sent, 0, nil
-	}
-
-	select {
-	case out := <-p.ch:
-		pendingPool.Put(p)
-		return out, sent, len(out.Data), nil
-	case <-ctx.Done():
-		c.unregister(id)
-		c.sendCancel(id)
-		if ctx.Err() == context.DeadlineExceeded {
-			return nil, sent, 0, NewSystemException(ExcTimeout, 1, "invocation of %s timed out", inv.Operation)
-		}
-		return nil, sent, 0, ctx.Err()
-	}
+	return nil
 }
 
-// sendAsync writes the invocation's request frame and returns as soon as
-// it is on the wire; the read loop resolves fut when the reply arrives
-// (out-of-order replies rendezvous through the pending map exactly as
-// concurrent synchronous calls do). It reports the encoded request size
-// for accounting. Backpressure: with Options.PipelineDepth set, sendAsync
-// blocks until the connection's in-flight window has a free slot, bounded
-// by fut's RequestTimeout when ctx carries no deadline.
+// send writes inv's request frame and returns as soon as it is on the
+// wire. A nil fut sends a oneway request. Otherwise fut is registered
+// first and the read loop completes it when the reply arrives;
+// out-of-order replies rendezvous through the pending map. With
+// Options.PipelineDepth set, send blocks until the connection's in-flight
+// window has a free slot, bounded by fut's stored RequestTimeout when ctx
+// carries no deadline. sent is the encoded request size.
 //
-// registered reports whether the future entered the pending map. Once it
-// has, the future's completion belongs to connection teardown: a write
-// failure here calls close, which drains the pending map and completes
-// every drained future with the sticky cause — possibly from a racing
-// read-loop closer that is still holding the reference. The caller must
+// registered reports whether fut entered the pending map. Once it has,
+// the future's completion belongs to connection teardown: a write failure
+// here calls close, which drains the pending map and completes every
+// drained future with the sticky cause — possibly from a racing
+// read-loop closer that still holds the reference. The caller must
 // therefore NEVER pool a future after a registered failure (mirror
-// Future.abandon); it resolves with the teardown cause and can be handed
-// to the waiter or left to the garbage collector. Failures with
+// Future.abandon); it resolves with the teardown cause. Failures with
 // registered == false are retry-safe NotSentErrors and the caller remains
 // the future's sole owner.
-func (c *clientConn) sendAsync(ctx context.Context, inv *Invocation, fut *Future) (sent int, registered bool, err error) {
-	if err := c.acquireWindow(ctx, fut.timeout); err != nil {
-		return 0, false, notSent(err)
+func (c *clientConn) send(ctx context.Context, inv *Invocation, fut *Future) (sent int, registered bool, err error) {
+	if fut != nil {
+		if err := c.acquireWindow(ctx, fut.timeout); err != nil {
+			return 0, false, notSent(err)
+		}
 	}
-	inv.Stripe = c.slot + 1
-	if fut.fr != nil {
-		fut.rec.Stripe = c.slot
-	}
-	id, _, err := c.register(true, fut)
-	if err != nil {
-		c.releaseWindow(1)
-		return 0, false, notSent(err)
-	}
-	fut.conn = c
-	fut.id = id
-
-	order := c.orb.opts.Order
+	// Encode-phase timing covers marshal through frame write; zero cost
+	// on the uninstrumented path.
 	ob := c.orb.obsState.Load()
 	var encStart time.Time
 	if ob != nil {
 		encStart = time.Now()
 	}
-
-	e := giop.AcquireFrameEncoder(order)
-	h := giop.RequestHeader{
-		Contexts:         inv.Contexts,
-		RequestID:        id,
-		ResponseExpected: true,
-		ObjectKey:        inv.Target.Profile.ObjectKey,
-		Operation:        inv.Operation,
+	// The request frame is marshalled into a pooled encoder with the GIOP
+	// header reserved up front, so header and body leave in one Write and
+	// the buffer is recycled as soon as the frame is on the wire.
+	e := giop.AcquireFrameEncoder(c.orb.opts.Order)
+	if err := c.stage(e, inv, fut); err != nil {
+		e.Release()
+		// The pooled connection was already dead; nothing was sent.
+		if fut != nil {
+			c.releaseWindow(1)
+		}
+		return 0, false, notSent(err)
 	}
-	h.Marshal(e)
-	e.WriteOctets(inv.Args)
 	sent = e.Len()
-
 	c.writeMu.Lock()
 	err = giop.WriteFrame(c.raw, giop.MsgRequest, e, c.orb.opts.MaxFragment)
 	c.writeMu.Unlock()
@@ -411,18 +313,25 @@ func (c *clientConn) sendAsync(ctx context.Context, inv *Invocation, fut *Future
 		// the sticky error) drains the pending map and completes fut with
 		// the teardown cause; the unregister is a no-op after the drain but
 		// covers the window where no close has swapped the map yet.
-		c.close(NewSystemException(ExcCommFailure, 2, "writing request to %s: %v", c.addr, err))
-		c.unregister(id)
-		return 0, true, NewSystemException(ExcCommFailure, 2, "writing request to %s: %v", c.addr, err)
+		cause := NewSystemException(ExcCommFailure, 2, "writing request to %s: %v", c.addr, err)
+		c.close(cause)
+		if fut != nil {
+			c.unregister(fut.id)
+		}
+		return 0, fut != nil, cause
 	}
 	if ob != nil {
 		enc := time.Since(encStart)
-		// The reply may already be racing in on the read loop; the stamp
-		// is atomic so a lost sample stays benign.
-		fut.encodeNs.Store(int64(enc))
+		// inv is the sender's; the future's copy is atomic because the
+		// reply may already be racing in on the read loop, and a lost
+		// sample stays benign.
+		inv.encodeNs = int64(enc)
+		if fut != nil {
+			fut.encodeNs.Store(int64(enc))
+		}
 		ob.phase(inv.Binding).encode.Observe(enc)
 	}
-	return sent, true, nil
+	return sent, fut != nil, nil
 }
 
 // absorbTraceReturn decodes a reply's SCTraceReturn service context (the
@@ -449,37 +358,6 @@ func (o *ORB) absorbTraceReturn(ctxs giop.ServiceContextList) {
 	for _, rec := range recs {
 		ob.bundle.Tracer.Inject(rec)
 	}
-}
-
-// sendAsync on the module accounts the request and hands the invocation
-// to the connection layer. registered propagates the connection-layer
-// ownership contract: once true, the future's completion belongs to
-// connection teardown and the caller must not pool it on error.
-func (m *iiopModule) sendAsync(ctx context.Context, inv *Invocation, fut *Future) (registered bool, err error) {
-	ctx, sp := obs.StartChild(ctx, "wire.send")
-	if sp != nil {
-		sp.SetOperation(inv.Operation)
-		inv.Contexts = inv.Contexts.With(giop.SCTrace, sp.Context().Traceparent())
-	}
-	addr := inv.Target.Profile.Addr()
-	conn, err := m.orb.getConn(addr)
-	if err != nil {
-		err = notSent(err)
-		sp.RecordError(err)
-		sp.End()
-		return false, err
-	}
-	sent, registered, err := conn.sendAsync(ctx, inv, fut)
-	if err == nil {
-		m.requestsSent.Add(1)
-		m.bytesSent.Add(uint64(sent))
-	}
-	if sp != nil {
-		sp.SetAttr("bytes_sent", strconv.Itoa(sent))
-		sp.RecordError(err)
-		sp.End()
-	}
-	return registered, err
 }
 
 // sendCancel notifies the server that the client gave up on a request.
@@ -554,7 +432,7 @@ func (c *clientConn) readLoop() {
 				continue
 			}
 			c.mu.Lock()
-			p, ok := c.pending[h.RequestID]
+			fut, ok := c.pending[h.RequestID]
 			if ok {
 				delete(c.pending, h.RequestID)
 				c.trackPending(-1)
@@ -570,21 +448,12 @@ func (c *clientConn) readLoop() {
 				Contexts: h.Contexts,
 				Order:    msg.Order,
 			}
-			if fut := p.fut; fut != nil {
-				// Asynchronous call: resolve the future right here (the
-				// hot half of out-of-order reply matching) and recycle
-				// the rendezvous, whose channel was never exposed.
-				p.fut = nil
-				pendingPool.Put(p)
-				c.orb.iiop.bytesRecv.Add(uint64(len(out.Data)))
-				// Graft returned server spans before completion: the
-				// future's onDone ends the client.call span, and the
-				// sampler must see the server's spans first.
-				c.orb.absorbTraceReturn(out.Contexts)
-				fut.complete(out, nil)
-				continue
-			}
-			p.ch <- out
+			c.orb.iiop.bytesRecv.Add(uint64(len(out.Data)))
+			// Graft the server's returned span summaries before
+			// completion: completion may end the client's spans, and the
+			// sampler must see the server's spans first.
+			c.orb.absorbTraceReturn(out.Contexts)
+			fut.complete(out, nil)
 		case giop.MsgLocateReply:
 			d := msg.Decoder()
 			h, err := giop.UnmarshalLocateReplyHeader(d)
@@ -621,7 +490,7 @@ func (c *clientConn) close(cause *SystemException) {
 	}
 	c.err = cause
 	pending := c.pending
-	c.pending = make(map[uint32]*pendingReply)
+	c.pending = make(map[uint32]*Future)
 	c.trackPending(int32(-len(pending)))
 	locates := c.pendingLocate
 	c.pendingLocate = make(map[uint32]chan giop.LocateStatus)
@@ -629,19 +498,11 @@ func (c *clientConn) close(cause *SystemException) {
 
 	c.raw.Close()
 	c.orb.dropConn(c.addr, c)
-	// Fail every rendezvous promptly — synchronous waiters get the
-	// exceptional outcome on their channel, asynchronous futures are
-	// completed with the cause so no Wait ever hangs on a dead
-	// connection — and return the pipeline window slots the drained
+	// Complete every pending future with the cause, so no Wait ever hangs
+	// on a dead connection, and return the window slots the drained
 	// registrations held.
-	for _, p := range pending {
-		if fut := p.fut; fut != nil {
-			p.fut = nil
-			pendingPool.Put(p)
-			fut.complete(nil, cause)
-			continue
-		}
-		p.ch <- OutcomeFromError(cause, c.orb.opts.Order)
+	for _, fut := range pending {
+		fut.complete(nil, cause)
 	}
 	c.releaseWindow(len(pending))
 	for _, ch := range locates {

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -47,20 +48,22 @@ func TestLocationForwardFollowed(t *testing.T) {
 	}
 }
 
-// TestLocationForwardLoopBounded verifies that mutual forwards terminate
-// with TRANSIENT instead of looping.
-func TestLocationForwardLoopBounded(t *testing.T) {
+// forwardCycle serves "ping" on a:1 and "pong" on b:1, each answering
+// every request with a forward to the other, and returns a client ORB
+// and the reference to ping.
+func forwardCycle(t *testing.T) (*ORB, *ior.IOR) {
+	t.Helper()
 	n := netsim.NewNetwork()
 	a := New(Options{Transport: n.Host("a")})
 	if err := a.Listen("a:1"); err != nil {
 		t.Fatal(err)
 	}
-	defer a.Shutdown()
+	t.Cleanup(a.Shutdown)
 	b := New(Options{Transport: n.Host("b")})
 	if err := b.Listen("b:1"); err != nil {
 		t.Fatal(err)
 	}
-	defer b.Shutdown()
+	t.Cleanup(b.Shutdown)
 
 	refA := ior.New("IDL:test/Echo:1.0", "a", 1, []byte("ping"))
 	refB := ior.New("IDL:test/Echo:1.0", "b", 1, []byte("pong"))
@@ -74,11 +77,34 @@ func TestLocationForwardLoopBounded(t *testing.T) {
 	}
 
 	client := New(Options{Transport: n.Host("client")})
-	defer client.Shutdown()
+	t.Cleanup(client.Shutdown)
+	return client, refA
+}
+
+// TestLocationForwardLoopBounded verifies that mutual forwards terminate
+// with TRANSIENT instead of looping.
+func TestLocationForwardLoopBounded(t *testing.T) {
+	client, refA := forwardCycle(t)
 	_, err := callEcho(t, client, refA, "dizzy")
 	var sys *SystemException
 	if !errors.As(err, &sys) || sys.Name != ExcTransient {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestAsyncLocationForwardLoopBounded is the same cycle on the
+// asynchronous path: Wait follows the forwards through the same bounded
+// loop and ends with TRANSIENT minor 30.
+func TestAsyncLocationForwardLoopBounded(t *testing.T) {
+	client, refA := forwardCycle(t)
+	fut, err := client.InvokeAsync(context.Background(), echoInvocation(client, refA, "dizzy", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fut.Wait(context.Background())
+	var sys *SystemException
+	if !errors.As(err, &sys) || sys.Name != ExcTransient || sys.Minor != 30 {
+		t.Fatalf("err = %v, want TRANSIENT minor 30", err)
 	}
 }
 

@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"maqs/internal/giop"
 	"maqs/internal/obs"
 )
 
-// Future is the rendezvous for one asynchronous invocation: the promise
-// half lives with the connection read loop (or the delivery goroutine on
-// the resilient path), the future half with the caller. Instances are
+// Future is the rendezvous for one invocation, synchronous or not: every
+// request that expects a reply registers one with its connection. The
+// promise half lives with the connection read loop (or the delivery
+// goroutine on the resilient path), the future half with the caller, and
+// a synchronous call is dispatch followed by Wait. Instances are
 // pooled: the goroutine that consumes the result through Wait owns the
 // object and returns it to the pool. Abandoning paths (context expiry)
 // complete the future locally and leave it to the garbage collector — a
@@ -35,19 +36,18 @@ type Future struct {
 	err error
 
 	// conn and id identify the in-flight registration, so an abandoning
-	// waiter can unregister and send CancelRequest exactly like the
-	// synchronous path.
+	// waiter can unregister and send CancelRequest.
 	conn *clientConn
 	id   uint32
 
-	// orb and inv allow Wait to follow LOCATION_FORWARD replies through
-	// the synchronous machinery (forwards are rare; the fast path never
-	// sees them).
+	// orb, when set, makes Wait follow LOCATION_FORWARD replies to inv
+	// (the read loop cannot re-send). inv also names the operation in
+	// timeout errors.
 	orb *ORB
 	inv *Invocation
 
-	// timeout bounds Wait when the caller's context carries no deadline,
-	// mirroring Options.RequestTimeout on the synchronous path.
+	// timeout bounds Wait when the caller's context carries no deadline
+	// (Options.RequestTimeout, stored instead of a context.WithTimeout).
 	timeout time.Duration
 
 	// encodeNs carries the marshal+write phase timing from the sending
@@ -56,12 +56,10 @@ type Future struct {
 	// not).
 	encodeNs atomic.Int64
 
-	// fr, rec and start implement flight recording for the asynchronous
-	// fast path, which has no delivery goroutine to wrap the call: the
-	// record is assembled at dispatch and sealed in complete.
-	fr    *obs.FlightRecorder
-	rec   obs.FlightRecord
-	start time.Time
+	// fl is the flight record of a call dispatched straight to the wire,
+	// which has no delivery loop to wrap it: begun at dispatch, sealed in
+	// complete.
+	fl flight
 
 	// onDone, when set, runs on the completing goroutine before Done is
 	// closed (the qos layer hangs its conformance/SLO observation here).
@@ -89,6 +87,13 @@ func FuturePoolStats() (gets, misses uint64) {
 	return futurePoolGets.Load(), futurePoolMisses.Load()
 }
 
+// PendingPoolStats reports the reply rendezvous pool, which is the Future
+// pool.
+//
+// Deprecated: synchronous calls no longer have a rendezvous of their own;
+// use FuturePoolStats.
+func PendingPoolStats() (gets, misses uint64) { return FuturePoolStats() }
+
 // acquireFuture returns a reset pooled Future armed with a fresh done
 // channel.
 func acquireFuture() *Future {
@@ -110,9 +115,7 @@ func (f *Future) release() {
 	f.orb = nil
 	f.inv = nil
 	f.timeout = 0
-	f.fr = nil
-	f.rec = obs.FlightRecord{}
-	f.start = time.Time{}
+	f.fl = flight{}
 	f.onDone = nil
 	futurePool.Put(f)
 }
@@ -126,21 +129,12 @@ func (f *Future) complete(out *Outcome, err error) {
 	}
 	f.out = out
 	f.err = err
-	if f.fr != nil {
-		f.rec.Latency = time.Since(f.start)
-		f.rec.At = time.Now()
-		f.rec.Attempts = 1
-		f.rec.Outcome = outcomeLabel(out, err)
+	if f.fl.fr != nil {
+		f.fl.rec.Attempts = 1
 		if enc := f.encodeNs.Load(); enc > 0 {
-			f.rec.Phases = &obs.PhaseTimings{EncodeNs: enc}
+			f.fl.rec.Phases = &obs.PhaseTimings{EncodeNs: enc}
 		}
-		if f.rec.Anomaly == "" && (f.rec.Outcome == ExcTimeout || f.rec.Outcome == "deadline-exceeded") {
-			f.rec.Anomaly = obs.AnomalyDeadlineMiss
-		}
-		f.fr.Record(f.rec)
-		if f.rec.Anomaly != "" {
-			f.fr.Trigger(f.rec.Anomaly, f.rec)
-		}
+		f.fl.seal(out, err)
 	}
 	if f.onDone != nil {
 		f.onDone(out, err)
@@ -197,14 +191,29 @@ func (f *Future) Release() {
 
 // Wait blocks until the invocation completes or ctx expires, whichever is
 // first, and consumes the future: on return the future must not be used
-// again. When ctx carries no deadline the ORB's RequestTimeout applies,
-// exactly as on the synchronous path. An abandoned call is unregistered
-// and cancelled on the wire (best effort), and its flight record carries
-// the timeout outcome.
+// again. When ctx carries no deadline the stored RequestTimeout applies.
+// An abandoned call is unregistered and cancelled on the wire (best
+// effort), and its flight record carries the timeout outcome. When the
+// future follows forwards (see the orb field), a LOCATION_FORWARD reply
+// is followed here through ORB.follow, bounded by maxForwards.
 func (f *Future) Wait(ctx context.Context) (*Outcome, error) {
+	if err := f.await(ctx); err != nil {
+		return nil, err
+	}
+	out, err, o, inv := f.out, f.err, f.orb, f.inv
+	f.release()
+	if o != nil {
+		return o.follow(ctx, o.iiop, inv, out, err)
+	}
+	return out, err
+}
+
+// await blocks until the future is done. When ctx expires first, or the
+// stored timeout does, it abandons the call and returns the cause.
+func (f *Future) await(ctx context.Context) error {
 	select {
 	case <-f.done:
-		return f.finish(ctx)
+		return nil
 	default:
 	}
 	var expire <-chan time.Time
@@ -215,44 +224,21 @@ func (f *Future) Wait(ctx context.Context) (*Outcome, error) {
 	}
 	select {
 	case <-f.done:
-		return f.finish(ctx)
+		return nil
 	case <-ctx.Done():
-		if ctx.Err() == context.DeadlineExceeded {
-			return nil, f.abandon(NewSystemException(ExcTimeout, 1, "async invocation of %s timed out", f.operation()))
+		if ctx.Err() != context.DeadlineExceeded {
+			return f.abandon(ctx.Err())
 		}
-		return nil, f.abandon(ctx.Err())
 	case <-expire:
-		return nil, f.abandon(NewSystemException(ExcTimeout, 1, "async invocation of %s timed out", f.operation()))
 	}
+	return f.abandon(NewSystemException(ExcTimeout, 1, "invocation of %s timed out", f.operation()))
 }
 
 func (f *Future) operation() string {
 	if f.inv != nil {
 		return f.inv.Operation
 	}
-	return f.rec.Operation
-}
-
-// finish hands the result to the waiter and recycles the future. Rare
-// LOCATION_FORWARD outcomes are followed synchronously here (the read
-// loop cannot re-send).
-func (f *Future) finish(ctx context.Context) (*Outcome, error) {
-	out, err := f.out, f.err
-	if err == nil && out != nil && out.Status == giop.ReplyLocationForward &&
-		f.orb != nil && f.inv != nil && f.inv.ResponseExpected {
-		target, ferr := out.ForwardTarget()
-		if ferr != nil {
-			f.release()
-			return nil, NewSystemException(ExcMarshal, 31, "bad forward target: %v", ferr)
-		}
-		forwarded := f.inv.Clone()
-		forwarded.Target = target
-		o := f.orb
-		f.release()
-		return o.Invoke(ctx, forwarded)
-	}
-	f.release()
-	return out, err
+	return ""
 }
 
 // abandon gives up on an in-flight call: unregister the pending reply,
@@ -274,7 +260,7 @@ func (f *Future) abandon(cause error) error {
 // policy is installed, the request is written from the calling goroutine
 // and the connection read loop completes the future (zero goroutines per
 // call — this is the pipelining fast path); otherwise a per-call delivery
-// goroutine wraps the full synchronous machinery so retry, breaker and
+// goroutine runs Invoke's synchronous machinery so retry, breaker and
 // mediator semantics are preserved exactly.
 //
 // Error contract: a non-nil error means the request never registered with
@@ -294,31 +280,6 @@ func (o *ORB) InvokeAsyncObserved(ctx context.Context, inv *Invocation, onDone f
 	return o.invokeAsync(ctx, inv, onDone)
 }
 
-// armFlight prepares a future's embedded flight record for the
-// asynchronous fast path (no-op without a recorder): the record is
-// assembled here at dispatch and sealed by complete.
-func (o *ORB) armFlight(ctx context.Context, f *Future, inv *Invocation) {
-	fr := o.Flight()
-	if fr == nil {
-		return
-	}
-	f.fr = fr
-	f.rec = obs.FlightRecord{
-		Operation: inv.Operation,
-		Binding:   inv.Binding,
-		Endpoint:  inv.Target.Profile.Addr(),
-		Stripe:    -1,
-	}
-	if sc := obs.SpanFromContext(ctx).Context(); sc.Valid() {
-		f.rec.TraceID = sc.TraceID.String()
-		f.rec.SpanID = sc.SpanID.String()
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		f.rec.DeadlineBudget = time.Until(dl)
-	}
-	f.start = time.Now()
-}
-
 // GoFuture runs deliver on its own goroutine and exposes its result as a
 // pooled Future. The qos stub uses it to make mediator-driven delivery
 // (replication fan-out, failover) asynchronous without the orb layer
@@ -334,21 +295,10 @@ func GoFuture(timeout time.Duration, deliver func() (*Outcome, error)) *Future {
 	return f
 }
 
-func (o *ORB) invokeAsync(ctx context.Context, inv *Invocation, onDone func(*Outcome, error)) (*Future, error) {
-	if err := validateOperation(inv.Operation); err != nil {
-		return nil, err
-	}
-	if inv.Target == nil {
-		return nil, NewSystemException(ExcBadParam, 1, "invocation without target")
-	}
-	o.mu.Lock()
-	router := o.router
-	o.mu.Unlock()
-	mod, err := router.Route(inv)
-	if err != nil {
-		return nil, NewSystemException(ExcTransient, 32, "routing %s: %v", inv.Operation, err)
-	}
-
+// prepare returns a pooled future for inv: onDone hooked, Wait following
+// LOCATION_FORWARD replies, and RequestTimeout stored when ctx carries no
+// deadline. It is the one future set-up shared by every dispatch path.
+func (o *ORB) prepare(ctx context.Context, inv *Invocation, onDone func(*Outcome, error)) *Future {
 	f := acquireFuture()
 	f.orb = o
 	f.inv = inv
@@ -356,36 +306,44 @@ func (o *ORB) invokeAsync(ctx context.Context, inv *Invocation, onDone func(*Out
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		f.timeout = o.opts.RequestTimeout
 	}
+	return f
+}
 
-	if mod == TransportModule(o.iiop) && o.res == nil && inv.ResponseExpected {
-		o.armFlight(ctx, f, inv)
-		registered, err := o.iiop.sendAsync(ctx, inv, f)
-		if err != nil {
-			if registered {
-				// The frame write failed after the request entered the
-				// pending map: connection teardown owns the future's
-				// completion, and a racing closer may still hold the
-				// reference, so the future must NOT be pooled (mirror
-				// Future.abandon). It resolves with the teardown cause —
-				// hand it to the caller so the failure surfaces exactly
-				// once, through onDone and Wait, per the InvokeAsync
-				// error contract.
-				return f, nil
-			}
-			// Never registered: this goroutine is the future's sole owner
-			// and the retry-safe dispatch failure is the caller's to see.
-			f.release()
-			return nil, err
-		}
+func (o *ORB) invokeAsync(ctx context.Context, inv *Invocation, onDone func(*Outcome, error)) (*Future, error) {
+	mod, err := o.route(inv)
+	if err != nil {
+		return nil, err
+	}
+	return o.dispatchAsync(ctx, mod, inv, onDone)
+}
+
+// dispatchAsync starts a routed invocation and returns its future, under
+// the InvokeAsync error contract.
+func (o *ORB) dispatchAsync(ctx context.Context, mod TransportModule, inv *Invocation, onDone func(*Outcome, error)) (*Future, error) {
+	f := o.prepare(ctx, inv, onDone)
+	if !o.direct(mod) || !inv.ResponseExpected {
+		// General path: the delivery goroutine runs the full synchronous
+		// stack, flight recording included.
+		go func() {
+			out, err := o.invokeRouted(ctx, mod, inv)
+			f.complete(out, err)
+		}()
 		return f, nil
 	}
-
-	// General path: the delivery goroutine runs the full synchronous
-	// stack (flight recording included), so the fast-path recorder stays
-	// off.
-	go func() {
-		out, err := o.Invoke(ctx, inv)
-		f.complete(out, err)
-	}()
+	o.beginFlight(ctx, inv, &f.fl)
+	sp, registered, err := o.iiop.dispatch(ctx, inv, f)
+	sp.RecordError(err)
+	sp.End()
+	if err != nil && !registered {
+		// Never registered: this goroutine is the future's sole owner and
+		// the retry-safe dispatch failure is the caller's to see.
+		f.release()
+		return nil, err
+	}
+	// A registered write failure left completion to connection teardown,
+	// and a racing closer may still hold the reference, so the future
+	// must NOT be pooled (mirror Future.abandon). It resolves with the
+	// teardown cause: hand it to the caller so the failure surfaces
+	// exactly once, through onDone and Wait.
 	return f, nil
 }

@@ -229,10 +229,3 @@ type IncomingFilter interface {
 	// transform and must return the (possibly rewritten) body.
 	Outbound(req *ServerRequest, status giop.ReplyStatus, body []byte) ([]byte, error)
 }
-
-func validateOperation(op string) error {
-	if op == "" {
-		return fmt.Errorf("orb: empty operation name")
-	}
-	return nil
-}

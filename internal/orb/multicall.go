@@ -61,45 +61,21 @@ func (o *ORB) InvokeBatch(ctx context.Context, invs []*Invocation) []MulticallRe
 	res := make([]MulticallResult, len(invs))
 	futs := make([]*Future, len(invs))
 
-	o.mu.Lock()
-	router := o.router
-	o.mu.Unlock()
-
 	var groups map[string][]batchElem
 	for i, inv := range invs {
-		if err := validateOperation(inv.Operation); err != nil {
+		mod, err := o.route(inv)
+		if err != nil {
 			res[i].Err = err
 			continue
 		}
-		if inv.Target == nil {
-			res[i].Err = NewSystemException(ExcBadParam, 1, "invocation without target")
-			continue
-		}
-		mod, err := router.Route(inv)
-		if err != nil {
-			res[i].Err = NewSystemException(ExcTransient, 32, "routing %s: %v", inv.Operation, err)
-			continue
-		}
-		batchable := mod == TransportModule(o.iiop) && o.res == nil &&
-			!(o.opts.MaxFragment > 0 && len(inv.Args)+batchHeadroom > o.opts.MaxFragment)
-		if !batchable {
-			fut, err := o.invokeAsync(ctx, inv, nil)
-			if err != nil {
-				res[i].Err = err
-				continue
-			}
-			futs[i] = fut
+		if !o.direct(mod) || (o.opts.MaxFragment > 0 && len(inv.Args)+batchHeadroom > o.opts.MaxFragment) {
+			futs[i], res[i].Err = o.dispatchAsync(ctx, mod, inv, nil)
 			continue
 		}
 		var f *Future
 		if inv.ResponseExpected {
-			f = acquireFuture()
-			f.orb = o
-			f.inv = inv
-			if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-				f.timeout = o.opts.RequestTimeout
-			}
-			o.armFlight(ctx, f, inv)
+			f = o.prepare(ctx, inv, nil)
+			o.beginFlight(ctx, inv, &f.fl)
 			futs[i] = f
 		}
 		if groups == nil {
@@ -214,11 +190,11 @@ func (c *clientConn) sendBatch(ctx context.Context, elems []batchElem, res []Mul
 				}
 			}
 		}
-		id, _, err := c.register(el.inv.ResponseExpected, el.fut)
-		if err != nil {
+		if err := c.stage(fb.Begin(), el.inv, el.fut); err != nil {
 			// Dead connection: anything registered earlier was already
 			// failed by close; nothing staged can be delivered.
-			if el.inv.ResponseExpected {
+			fb.Abort()
+			if el.fut != nil {
 				c.releaseWindow(1)
 			}
 			for _, idx := range stagedOneways {
@@ -227,28 +203,9 @@ func (c *clientConn) sendBatch(ctx context.Context, elems []batchElem, res []Mul
 			failBatch(elems[k:], res, notSent(err))
 			return
 		}
-		el.inv.Stripe = c.slot + 1
-		if el.fut != nil {
-			el.fut.conn = c
-			el.fut.id = id
-			if el.fut.fr != nil {
-				el.fut.rec.Stripe = c.slot
-			}
-		}
-
-		e := fb.Begin()
-		h := giop.RequestHeader{
-			Contexts:         el.inv.Contexts,
-			RequestID:        id,
-			ResponseExpected: el.inv.ResponseExpected,
-			ObjectKey:        el.inv.Target.Profile.ObjectKey,
-			Operation:        el.inv.Operation,
-		}
-		h.Marshal(e)
-		e.WriteOctets(el.inv.Args)
 		if err := fb.Commit(giop.MsgRequest); err != nil {
-			c.unregister(id)
 			if el.fut != nil {
+				c.unregister(el.fut.id)
 				el.fut.complete(nil, notSent(err))
 			} else {
 				res[el.idx].Err = notSent(err)

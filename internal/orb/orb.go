@@ -200,17 +200,6 @@ func (o *ORB) SetObservability(b *obs.Observability) {
 // process-global (sync.Pools are package state shared by every ORB in
 // the process), so the numbers describe the process, not this ORB.
 func registerPoolMetrics(r *obs.Registry) {
-	r.CounterFunc("maqs_orb_pending_pool_hits_total", func() uint64 {
-		gets, misses := PendingPoolStats()
-		if gets < misses {
-			return 0
-		}
-		return gets - misses
-	})
-	r.CounterFunc("maqs_orb_pending_pool_misses_total", func() uint64 {
-		_, misses := PendingPoolStats()
-		return misses
-	})
 	r.CounterFunc("maqs_orb_future_pool_hits_total", func() uint64 {
 		gets, misses := FuturePoolStats()
 		if gets < misses {
@@ -354,11 +343,22 @@ func (o *ORB) currentFilters() []IncomingFilter {
 
 // Invoke sends the invocation through the routing layer and waits for its
 // outcome. The outcome may itself describe an exception; Invoke returns a
-// non-nil error only for local failures (routing, transport setup,
-// context cancellation).
+// non-nil error for local failures (validation, routing, transport setup
+// and teardown, context cancellation). A router failure is a TRANSIENT
+// system exception, on every entry point.
 func (o *ORB) Invoke(ctx context.Context, inv *Invocation) (*Outcome, error) {
-	if err := validateOperation(inv.Operation); err != nil {
+	mod, err := o.route(inv)
+	if err != nil {
 		return nil, err
+	}
+	return o.invokeRouted(ctx, mod, inv)
+}
+
+// route validates inv and picks its transport module. It is the one
+// routing step shared by Invoke, InvokeAsync and InvokeBatch.
+func (o *ORB) route(inv *Invocation) (TransportModule, error) {
+	if inv.Operation == "" {
+		return nil, fmt.Errorf("orb: empty operation name")
 	}
 	if inv.Target == nil {
 		return nil, NewSystemException(ExcBadParam, 1, "invocation without target")
@@ -368,15 +368,36 @@ func (o *ORB) Invoke(ctx context.Context, inv *Invocation) (*Outcome, error) {
 	o.mu.Unlock()
 	mod, err := router.Route(inv)
 	if err != nil {
-		return nil, fmt.Errorf("orb: routing %s: %w", inv.Operation, err)
+		return nil, NewSystemException(ExcTransient, 32, "routing %s: %v", inv.Operation, err)
 	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+	return mod, nil
+}
+
+// direct reports whether a call routed to mod goes straight to the wire:
+// the plain IIOP module with no resilience loop in between.
+func (o *ORB) direct(mod TransportModule) bool {
+	return mod == TransportModule(o.iiop) && o.res == nil
+}
+
+// invokeRouted delivers a routed invocation and waits for its outcome.
+func (o *ORB) invokeRouted(ctx context.Context, mod TransportModule, inv *Invocation) (*Outcome, error) {
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline && !o.direct(mod) {
+		// QoS modules and the retry loop budget against the context
+		// deadline. A direct call needs no wrapper context: its Future's
+		// stored RequestTimeout bounds the wait.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, o.opts.RequestTimeout)
 		defer cancel()
 	}
 	out, err := o.send(ctx, mod, inv)
-	// Follow LOCATION_FORWARD replies (bounded, to break forward loops).
+	return o.follow(ctx, mod, inv, out, err)
+}
+
+// follow chases LOCATION_FORWARD replies, re-sending each hop through mod.
+// The chain is bounded by maxForwards, so two objects forwarding to each
+// other end in TRANSIENT instead of looping. Every path that can see a
+// forward (Invoke and Future.Wait) follows it here.
+func (o *ORB) follow(ctx context.Context, mod TransportModule, inv *Invocation, out *Outcome, err error) (*Outcome, error) {
 	for hops := 0; err == nil && out != nil && out.Status == giop.ReplyLocationForward && inv.ResponseExpected; hops++ {
 		if hops == maxForwards {
 			return nil, NewSystemException(ExcTransient, 30,

@@ -3,6 +3,7 @@ package orb
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"maqs/internal/obs"
 )
@@ -16,6 +17,27 @@ func phaseHist(snap obs.Snapshot, class, phase string) (obs.HistogramSnapshot, b
 		}
 	}
 	return obs.HistogramSnapshot{}, false
+}
+
+// settledSnapshot snapshots reg once every listed phase histogram of
+// class holds at least count observations, or after two seconds. The
+// server observes reply_wire after the reply frame is written, so a
+// client can hold its last reply before that observation lands.
+func settledSnapshot(reg *obs.Registry, class string, phases []string, count uint64) obs.Snapshot {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		snap := reg.Snapshot()
+		settled := true
+		for _, phase := range phases {
+			if h, ok := phaseHist(snap, class, phase); !ok || h.Count < count {
+				settled = false
+			}
+		}
+		if settled || time.Now().After(deadline) {
+			return snap
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestPhaseDecompositionBounded drives tagged calls through a bounded
@@ -39,8 +61,9 @@ func TestPhaseDecompositionBounded(t *testing.T) {
 		}
 	}
 
-	ssnap := serverObs.Registry.Snapshot()
-	for _, phase := range []string{"queue_wait", "dispatch", "servant", "reply_wire"} {
+	serverPhases := []string{"queue_wait", "dispatch", "servant", "reply_wire"}
+	ssnap := settledSnapshot(serverObs.Registry, "gold", serverPhases, calls)
+	for _, phase := range serverPhases {
 		h, ok := phaseHist(ssnap, "gold", phase)
 		if !ok {
 			t.Fatalf("server missing phase histogram %q; have %v", phase, histNames(ssnap))
@@ -73,8 +96,9 @@ func TestPhaseDecompositionUnbounded(t *testing.T) {
 	if err := call(client, ref, "echo", false, nil); err != nil {
 		t.Fatalf("echo: %v", err)
 	}
-	snap := serverObs.Registry.Snapshot()
-	for _, phase := range []string{"dispatch", "servant", "reply_wire"} {
+	phases := []string{"dispatch", "servant", "reply_wire"}
+	snap := settledSnapshot(serverObs.Registry, "none", phases, 1)
+	for _, phase := range phases {
 		h, ok := phaseHist(snap, "none", phase)
 		if !ok || h.Count != 1 {
 			t.Errorf("phase %q: ok=%v count=%d, want 1 observation", phase, ok, h.Count)

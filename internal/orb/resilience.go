@@ -115,46 +115,66 @@ func transportExc(sys *SystemException) bool {
 	return false
 }
 
-// send delivers inv through mod via the resilience machinery in deliver
-// and, when a flight recorder is installed, wraps the delivery in a
-// flight record: trace linkage, endpoint, deadline budget at admission,
-// attempt count, breaker state, outcome label and wall latency. Anomalies
-// (retry exhaustion, deadline miss) freeze a dump. Without a recorder
-// the wrapper is two nil checks — the uninstrumented fast path is
-// untouched.
+// send delivers inv through mod via the resilience machinery in deliver,
+// inside a flight record when a recorder is installed. Without a recorder
+// the wrapper is one nil check: the uninstrumented fast path is untouched.
 func (o *ORB) send(ctx context.Context, mod TransportModule, inv *Invocation) (*Outcome, error) {
-	fr := o.Flight()
-	if fr == nil {
+	var fl flight
+	o.beginFlight(ctx, inv, &fl)
+	if fl.fr == nil {
 		return o.deliver(ctx, mod, inv, nil)
 	}
-	rec := obs.FlightRecord{
-		Operation: inv.Operation,
-		Binding:   inv.Binding,
-		Stripe:    -1,
+	out, err := o.deliver(ctx, mod, inv, &fl.rec)
+	fl.seal(out, err)
+	return out, err
+}
+
+// flight is one invocation's flight record in the making: begun at
+// admission, sealed once the outcome is known.
+type flight struct {
+	fr    *obs.FlightRecorder // nil: recording is off
+	rec   obs.FlightRecord
+	start time.Time
+}
+
+// beginFlight starts inv's flight record when a recorder is installed:
+// trace linkage, endpoint, and the deadline budget at admission
+// (RequestTimeout when ctx carries no deadline).
+func (o *ORB) beginFlight(ctx context.Context, inv *Invocation, fl *flight) {
+	fl.fr = o.Flight()
+	if fl.fr == nil {
+		return
 	}
-	if inv.Target != nil {
-		rec.Endpoint = inv.Target.Profile.Addr()
+	fl.rec = obs.FlightRecord{
+		Operation:      inv.Operation,
+		Binding:        inv.Binding,
+		Endpoint:       inv.Target.Profile.Addr(),
+		Stripe:         -1,
+		DeadlineBudget: o.opts.RequestTimeout,
 	}
 	if sc := obs.SpanFromContext(ctx).Context(); sc.Valid() {
-		rec.TraceID = sc.TraceID.String()
-		rec.SpanID = sc.SpanID.String()
+		fl.rec.TraceID = sc.TraceID.String()
+		fl.rec.SpanID = sc.SpanID.String()
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		rec.DeadlineBudget = time.Until(dl)
+		fl.rec.DeadlineBudget = time.Until(dl)
 	}
-	start := time.Now()
-	out, err := o.deliver(ctx, mod, inv, &rec)
-	rec.Latency = time.Since(start)
-	rec.At = time.Now()
-	rec.Outcome = outcomeLabel(out, err)
-	if rec.Anomaly == "" && (rec.Outcome == ExcTimeout || rec.Outcome == "deadline-exceeded") {
-		rec.Anomaly = obs.AnomalyDeadlineMiss
+	fl.start = time.Now()
+}
+
+// seal stamps wall latency and the outcome label into the record and
+// records it. Anomalies (retry exhaustion, deadline miss) freeze a dump.
+func (fl *flight) seal(out *Outcome, err error) {
+	fl.rec.Latency = time.Since(fl.start)
+	fl.rec.At = time.Now()
+	fl.rec.Outcome = outcomeLabel(out, err)
+	if fl.rec.Anomaly == "" && (fl.rec.Outcome == ExcTimeout || fl.rec.Outcome == "deadline-exceeded") {
+		fl.rec.Anomaly = obs.AnomalyDeadlineMiss
 	}
-	fr.Record(rec)
-	if rec.Anomaly != "" {
-		fr.Trigger(rec.Anomaly, rec)
+	fl.fr.Record(fl.rec)
+	if fl.rec.Anomaly != "" {
+		fl.fr.Trigger(fl.rec.Anomaly, fl.rec)
 	}
-	return out, err
 }
 
 // outcomeLabel condenses an invocation result into the flight record's

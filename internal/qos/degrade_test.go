@@ -131,8 +131,15 @@ func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
 		t.Fatalf("auto-degraded contract level = %g, want 0", got)
 	}
 	// The automatic renegotiation is observable in the span collector.
+	// The qos.degrade span ends after the level is published, so wait
+	// for it to land.
 	records := bundle.Collector.Snapshot()
 	sp, ok := spanByName(records, "qos.degrade")
+	for deadline := time.Now().Add(5 * time.Second); !ok && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		records = bundle.Collector.Snapshot()
+		sp, ok = spanByName(records, "qos.degrade")
+	}
 	if !ok {
 		t.Fatal("no qos.degrade span collected after automatic degradation")
 	}

@@ -167,78 +167,94 @@ func (s *Stub) clearBinding() (Mediator, *Binding) {
 	return m, b
 }
 
+// probe is what observing a call needs: the operation, the binding it
+// travels under and the observers to feed.
+type probe struct {
+	op        string
+	binding   *Binding
+	observers []Observer
+}
+
+// call is one invocation's snapshot of the stub state.
+type call struct {
+	probe
+	target     *ior.IOR
+	mediator   Mediator
+	idempotent bool
+}
+
+// begin snapshots the stub state for one call of op.
+func (s *Stub) begin(op string) call {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return call{
+		probe:      probe{op: op, binding: s.binding, observers: s.observers},
+		target:     s.target,
+		mediator:   s.mediator,
+		idempotent: s.idempotent[op],
+	}
+}
+
+// span opens the call's client span (name is client.call or
+// client.multicall), tagged with the operation and the binding.
+func (c call) span(ctx context.Context, s *Stub, name string) (context.Context, *obs.Span) {
+	ctx, span := s.orb.Tracer().StartSpan(ctx, name)
+	if span != nil {
+		span.SetOperation(c.op)
+		if c.binding != nil {
+			span.SetAttr("characteristic", c.binding.Characteristic)
+			span.SetAttr("binding", c.binding.ID)
+		}
+	}
+	return ctx, span
+}
+
+// invocation builds the request for args, tagged with the binding (the
+// SCQoS service context the server's QoS skeleton dispatches on).
+func (c call) invocation(s *Stub, args []byte, oneway bool) *orb.Invocation {
+	inv := &orb.Invocation{
+		Target:           c.target,
+		Operation:        c.op,
+		Args:             args,
+		ResponseExpected: !oneway,
+		Idempotent:       c.idempotent,
+		Order:            s.orb.Order(),
+	}
+	if b := c.binding; b != nil {
+		inv.Binding = b.Characteristic
+		inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
+			Characteristic: b.Characteristic,
+			BindingID:      b.ID,
+			Module:         b.Module,
+		}.Encode())
+	}
+	return inv
+}
+
+// endSpan records the call's result on its span and ends it.
+func endSpan(span *obs.Span, out *orb.Outcome, err error) {
+	if span == nil {
+		return
+	}
+	if err == nil && out != nil {
+		err = out.Err()
+	}
+	span.RecordError(err)
+	span.End()
+}
+
 // Invoke performs one operation through the QoS-aware invocation path:
 // tag the request with the binding, run the mediator's PreInvoke, deliver
 // (through the mediator if it takes over delivery), run PostInvoke, and
 // feed the observer.
 func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) (*orb.Outcome, error) {
-	s.mu.RLock()
-	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
-	idempotent := s.idempotent[op]
-	s.mu.RUnlock()
-
-	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.call")
-	if span != nil {
-		span.SetOperation(op)
-		if binding != nil {
-			span.SetAttr("characteristic", binding.Characteristic)
-			span.SetAttr("binding", binding.ID)
-		}
-	}
-
-	inv := &orb.Invocation{
-		Target:           target,
-		Operation:        op,
-		Args:             args,
-		ResponseExpected: !oneway,
-		Idempotent:       idempotent,
-		Order:            s.orb.Order(),
-	}
-	if binding != nil {
-		inv.Binding = binding.Characteristic
-		inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
-			Characteristic: binding.Characteristic,
-			BindingID:      binding.ID,
-			Module:         binding.Module,
-		}.Encode())
-	}
-
+	c := s.begin(op)
+	ctx, span := c.span(ctx, s, "client.call")
+	inv := c.invocation(s, args, oneway)
 	start := time.Now()
-	out, err := s.deliver(ctx, inv, mediator)
-	if span != nil {
-		if err != nil {
-			span.RecordError(err)
-		} else {
-			span.RecordError(out.Err())
-		}
-		span.End()
-	}
-	if len(observers) > 0 {
-		o := Observation{
-			Operation: op,
-			RTT:       time.Since(start),
-			ReqBytes:  len(args),
-			At:        time.Now(),
-		}
-		if binding != nil {
-			o.Characteristic = binding.Characteristic
-		}
-		if span != nil {
-			if sc := span.Context(); sc.Valid() {
-				o.TraceID = sc.TraceID.String()
-				o.SpanID = sc.SpanID.String()
-			}
-		}
-		if err != nil {
-			o.Err = err
-		} else {
-			o.Err = out.Err()
-			o.RepBytes = len(out.Data)
-		}
-		for _, observer := range observers {
-			observer(o)
-		}
-	}
+	out, err := s.deliver(ctx, inv, c.mediator)
+	endSpan(span, out, err)
+	c.observe(span, start, len(args), out, err)
 	return out, err
 }
 
@@ -283,20 +299,19 @@ func (s *Stub) mediate(ctx context.Context, inv *orb.Invocation, mediator Mediat
 	return mediator.PostInvoke(ctx, inv, out)
 }
 
-// observe assembles and fans out one Observation to the installed probes.
-func (s *Stub) observe(op string, binding *Binding, span *obs.Span, observers []Observer,
-	start time.Time, reqBytes int, out *orb.Outcome, err error) {
-	if len(observers) == 0 {
+// observe assembles and fans out one Observation to the observers.
+func (p probe) observe(span *obs.Span, start time.Time, reqBytes int, out *orb.Outcome, err error) {
+	if len(p.observers) == 0 {
 		return
 	}
 	o := Observation{
-		Operation: op,
+		Operation: p.op,
 		RTT:       time.Since(start),
 		ReqBytes:  reqBytes,
 		At:        time.Now(),
 	}
-	if binding != nil {
-		o.Characteristic = binding.Characteristic
+	if p.binding != nil {
+		o.Characteristic = p.binding.Characteristic
 	}
 	if span != nil {
 		if sc := span.Context(); sc.Valid() {
@@ -310,7 +325,7 @@ func (s *Stub) observe(op string, binding *Binding, span *obs.Span, observers []
 		o.Err = out.Err()
 		o.RepBytes = len(out.Data)
 	}
-	for _, observer := range observers {
+	for _, observer := range p.observers {
 		observer(o)
 	}
 }
@@ -323,56 +338,25 @@ func (s *Stub) observe(op string, binding *Binding, span *obs.Span, observers []
 // measures dispatch-to-completion, not Wait time. Without a mediator the
 // call takes the ORB's zero-goroutine pipelining fast path.
 func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Future, error) {
-	s.mu.RLock()
-	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
-	idempotent := s.idempotent[op]
-	s.mu.RUnlock()
-
-	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.call")
+	c := s.begin(op)
+	ctx, span := c.span(ctx, s, "client.call")
 	if span != nil {
-		span.SetOperation(op)
 		span.SetAttr("async", "1")
-		if binding != nil {
-			span.SetAttr("characteristic", binding.Characteristic)
-			span.SetAttr("binding", binding.ID)
-		}
 	}
-
-	inv := &orb.Invocation{
-		Target:           target,
-		Operation:        op,
-		Args:             args,
-		ResponseExpected: true,
-		Idempotent:       idempotent,
-		Order:            s.orb.Order(),
-	}
-	if binding != nil {
-		inv.Binding = binding.Characteristic
-		inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
-			Characteristic: binding.Characteristic,
-			BindingID:      binding.ID,
-			Module:         binding.Module,
-		}.Encode())
-	}
-
+	inv := c.invocation(s, args, false)
 	start := time.Now()
+	// The hook captures only the probe, keeping the closure small.
+	p, reqBytes := c.probe, len(args)
 	onDone := func(out *orb.Outcome, err error) {
-		if span != nil {
-			if err != nil {
-				span.RecordError(err)
-			} else if out != nil {
-				span.RecordError(out.Err())
-			}
-			span.End()
-		}
-		s.observe(op, binding, span, observers, start, len(args), out, err)
+		endSpan(span, out, err)
+		p.observe(span, start, reqBytes, out, err)
 	}
 
-	if mediator != nil {
+	if m := c.mediator; m != nil {
 		// Mediated delivery needs the full bracket; run it on a delivery
 		// goroutine and complete the future from there.
 		fut := orb.GoFuture(s.orb.RequestTimeout(), func() (*orb.Outcome, error) {
-			out, err := s.deliver(ctx, inv, mediator)
+			out, err := s.deliver(ctx, inv, m)
 			onDone(out, err)
 			return out, err
 		})
@@ -386,10 +370,7 @@ func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Fu
 		// and the call is reported exactly once — as this error. Failures
 		// after registration complete the future instead, where onDone
 		// owns the span and the observers.
-		if span != nil {
-			span.RecordError(err)
-			span.End()
-		}
+		endSpan(span, nil, err)
 		return nil, err
 	}
 	return fut, nil
@@ -409,12 +390,8 @@ func (s *Stub) CallAsync(ctx context.Context, op string, args []byte) (*orb.Futu
 // observer feeding match Invoke; mediated stubs fall back to sequential
 // mediated delivery, since mediators own their own fan-out.
 func (s *Stub) Multicall(ctx context.Context, op string, argsList [][]byte) []orb.MulticallResult {
-	s.mu.RLock()
-	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
-	idempotent := s.idempotent[op]
-	s.mu.RUnlock()
-
-	if mediator != nil {
+	c := s.begin(op)
+	if c.mediator != nil {
 		res := make([]orb.MulticallResult, len(argsList))
 		for i, args := range argsList {
 			out, err := s.Invoke(ctx, op, args, false)
@@ -423,34 +400,10 @@ func (s *Stub) Multicall(ctx context.Context, op string, argsList [][]byte) []or
 		return res
 	}
 
-	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.multicall")
-	if span != nil {
-		span.SetOperation(op)
-		if binding != nil {
-			span.SetAttr("characteristic", binding.Characteristic)
-			span.SetAttr("binding", binding.ID)
-		}
-	}
-
+	ctx, span := c.span(ctx, s, "client.multicall")
 	invs := make([]*orb.Invocation, len(argsList))
 	for i, args := range argsList {
-		inv := &orb.Invocation{
-			Target:           target,
-			Operation:        op,
-			Args:             args,
-			ResponseExpected: true,
-			Idempotent:       idempotent,
-			Order:            s.orb.Order(),
-		}
-		if binding != nil {
-			inv.Binding = binding.Characteristic
-			inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
-				Characteristic: binding.Characteristic,
-				BindingID:      binding.ID,
-				Module:         binding.Module,
-			}.Encode())
-		}
-		invs[i] = inv
+		invs[i] = c.invocation(s, args, false)
 	}
 
 	start := time.Now()
@@ -465,7 +418,7 @@ func (s *Stub) Multicall(ctx context.Context, op string, argsList [][]byte) []or
 		span.End()
 	}
 	for i, r := range res {
-		s.observe(op, binding, span, observers, start, len(argsList[i]), r.Outcome, r.Err)
+		c.observe(span, start, len(argsList[i]), r.Outcome, r.Err)
 	}
 	return res
 }

@@ -424,3 +424,46 @@ func TestResetCounts(t *testing.T) {
 		t.Fatal("counts not reset")
 	}
 }
+
+// TestMalformedTagRoutingFailure feeds a malformed SCQoS tag through the
+// QoS transport router on every client entry point. The router rejects
+// it, and each entry point must report that as the same TRANSIENT minor
+// 32 system exception.
+func TestMalformedTagRoutingFailure(t *testing.T) {
+	w := newWorld(t)
+	malformed := func() *orb.Invocation {
+		inv := &orb.Invocation{
+			Target:           w.ref,
+			Operation:        "echo",
+			ResponseExpected: true,
+			Order:            w.clientORB.Order(),
+		}
+		inv.Contexts = inv.Contexts.With(giop.SCQoS, []byte{0x00, 0x01})
+		return inv
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Invoke", func() error {
+			_, err := w.clientORB.Invoke(ctx, malformed())
+			return err
+		}},
+		{"InvokeAsync", func() error {
+			_, err := w.clientORB.InvokeAsync(ctx, malformed())
+			return err
+		}},
+		{"InvokeBatch", func() error {
+			return w.clientORB.InvokeBatch(ctx, []*orb.Invocation{malformed()})[0].Err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call()
+			var sys *orb.SystemException
+			if !errors.As(err, &sys) || sys.Name != orb.ExcTransient || sys.Minor != 32 {
+				t.Fatalf("err = %v, want TRANSIENT minor 32", err)
+			}
+		})
+	}
+}
