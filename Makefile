@@ -1,9 +1,19 @@
 GO ?= go
 
-# Benchmark trajectory file produced by `make bench`. Bump the number when a
-# PR meaningfully changes the performance story so the history accumulates
-# (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
-BENCH_OUT ?= BENCH_5.json
+# Benchmark trajectory file produced by `make bench`. It has no default: a
+# trajectory point is never silently replaced, so name the next one
+# (`make bench BENCH_OUT=BENCH_<n>.json`): see docs/PERFORMANCE.md.
+BENCH_OUT ?=
+
+# Packages whose benchmarks `make bench` and `make bench-smoke` run: the
+# E1..E10 families at the root, the orb/cdr micro-benches and the QoS
+# transport modules' per-message costs.
+BENCH_PKGS = . ./internal/orb ./internal/cdr ./internal/characteristics/compression ./internal/characteristics/encryption
+
+# Native fuzz targets run by `make fuzz-smoke`, as package:Target pairs,
+# each for FUZZ_TIME. Their seed corpora are under testdata/fuzz.
+FUZZ_TARGETS = ./internal/obs:FuzzParseTraceparent ./internal/characteristics/compression:FuzzUnwrap ./internal/characteristics/encryption:FuzzOpen
+FUZZ_TIME = 3s
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
 # full default run): see docs/LOADGEN.md.
@@ -37,17 +47,17 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race perfbench-test bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
+.PHONY: all check vet build test race perfbench-test bench bench-smoke fuzz-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
 
 all: check
 
 # check is the full gate: vet, build everything, race-enabled tests, the
 # chaos suite (fault injection + resilience) on its own for a readable
 # verdict, the SLO-engine smoke, the coverage floors, a one-iteration
-# bench smoke so benchmark code can't rot, the benchmark module's own
-# tests, and the loadgen smoke run so the open-loop harness keeps driving
-# a real server end to end.
-check: vet build race perfbench-test chaos slo-smoke cover bench-smoke loadgen-smoke
+# bench smoke so benchmark code can't rot, a few seconds of each fuzz
+# target, the benchmark module's own tests, and the loadgen smoke run so
+# the open-loop harness keeps driving a real server end to end.
+check: vet build race perfbench-test chaos slo-smoke cover bench-smoke fuzz-smoke loadgen-smoke
 
 vet:
 	$(GO) vet ./...
@@ -69,22 +79,36 @@ perfbench-test:
 
 # bench runs every benchmark family with allocation accounting and records
 # the parsed results as a JSON trajectory point (see docs/PERFORMANCE.md
-# for the format and how to compare points across PRs).
+# for the format and how to compare points across PRs). It refuses to run
+# without BENCH_OUT, so an existing point is only replaced on purpose.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' . ./internal/orb ./internal/cdr | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
+	@test -n "$(BENCH_OUT)" || { echo "usage: make bench BENCH_OUT=BENCH_<n>.json (a new trajectory point; existing ones are history)"; exit 1; }
+	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # bench-smoke executes each benchmark exactly once: it proves the bench
 # harness still compiles and runs without paying measurement time.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/orb ./internal/cdr
+	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_PKGS)
+
+# fuzz-smoke runs each native fuzz target for FUZZ_TIME with two workers
+# (standard toolchain, no corpus download): long enough to catch a decoder
+# that panics on a near-seed input. A failing input lands in the package's
+# testdata/fuzz directory, where `go test` replays it from then on.
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		$(GO) test -run='^$$' -fuzz="^$$name$$" -fuzztime=$(FUZZ_TIME) -parallel=2 $$pkg || exit 1; \
+	done
 
 # loadgen runs the full open-loop trajectory workload (>=100k requests
 # across three QoS classes) against an in-process server and records the
 # coordinated-omission-correct percentiles (see docs/LOADGEN.md). The
-# workload deliberately exceeds one machine's capacity, so the server
-# runs with a dispatch deadline: requests that outwait 250ms in the
-# dispatch queue are shed with TRANSIENT (docs/ADMISSION.md), keeping
-# the served percentiles flat and reporting the excess as shed counts.
+# preset was sized to exceed one machine's capacity while a fresh flate
+# writer per message dominated the cost; with the flate state pooled that
+# is no longer established, and re-baselining the rates is pending. The
+# server runs with a dispatch deadline: requests that outwait 250ms in
+# the dispatch queue are shed with TRANSIENT (docs/ADMISSION.md), keeping
+# the served percentiles flat and reporting any excess as shed counts.
 loadgen:
 	$(GO) run ./cmd/maqs-loadgen -self -scenario default -seed 1 -shed-deadline 250ms -o $(LOADGEN_OUT)
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -36,6 +37,11 @@ type Stats struct {
 type Module struct {
 	level   int
 	minSize int
+
+	// deflaters pools writers at level; inflaters pools readers. Each
+	// call takes one and returns it on every exit path.
+	deflaters sync.Pool // *deflater
+	inflaters sync.Pool // *inflater
 
 	mu    sync.Mutex
 	stats Stats
@@ -90,28 +96,101 @@ func (m *Module) account(raw, wire int, compressed bool) {
 	}
 }
 
-// wrap frames (and possibly compresses) a payload.
+// deflater is a pooled flate writer together with the scratch buffer it
+// compresses into. The writer's output target is the deflater itself, so
+// Reset never allocates.
+type deflater struct {
+	w   *flate.Writer
+	buf []byte
+}
+
+func (d *deflater) Write(p []byte) (int, error) {
+	d.buf = append(d.buf, p...)
+	return len(p), nil
+}
+
+// inflater is a pooled flate reader, the bytes.Reader it reads from and
+// the octet unwrap probes for trailing bytes with.
+type inflater struct {
+	r    io.ReadCloser // also a flate.Resetter
+	src  bytes.Reader
+	tail [1]byte
+}
+
+// maxScratch caps the compression scratch a pooled deflater keeps, so one
+// bulk payload cannot pin its size under steady small-message load.
+const maxScratch = 64 << 10
+
+// maxRatio is deflate's maximum compression ratio: one 258-byte match
+// coded in two bits. A frame claiming more cannot be a valid stream.
+const maxRatio = 1032
+
+// initialOut caps unwrap's up-front output allocation. Beyond it the
+// output grows only as bytes actually decode.
+const initialOut = 64 << 10
+
+func (m *Module) getDeflater() (*deflater, error) {
+	if d, ok := m.deflaters.Get().(*deflater); ok {
+		d.w.Reset(d)
+		return d, nil
+	}
+	d := new(deflater)
+	w, err := flate.NewWriter(d, m.level)
+	if err != nil {
+		return nil, fmt.Errorf("compression: creating writer: %w", err)
+	}
+	d.w = w
+	return d, nil
+}
+
+func (m *Module) putDeflater(d *deflater) {
+	if cap(d.buf) > maxScratch {
+		d.buf = nil
+	}
+	d.buf = d.buf[:0]
+	m.deflaters.Put(d)
+}
+
+func (m *Module) getInflater(body []byte) *inflater {
+	if f, ok := m.inflaters.Get().(*inflater); ok {
+		f.src.Reset(body)
+		// Reset on a flate reader cannot fail without a dictionary.
+		_ = f.r.(flate.Resetter).Reset(&f.src, nil)
+		return f
+	}
+	f := new(inflater)
+	f.src.Reset(body)
+	f.r = flate.NewReader(&f.src)
+	return f
+}
+
+func (m *Module) putInflater(f *inflater) {
+	f.src.Reset(nil) // drop the frame, keep the decoder state
+	m.inflaters.Put(f)
+}
+
+// wrap frames (and possibly compresses) a payload. A deflate frame is
+// byte-identical to one from a newly constructed writer at the same
+// level: pooled writers are Reset, which restores that state.
 func (m *Module) wrap(p []byte) ([]byte, error) {
 	if len(p) >= m.minSize {
-		var buf bytes.Buffer
-		buf.WriteByte(frameDeflate)
-		var lenPrefix [4]byte
-		putULongBE(lenPrefix[:], uint32(len(p)))
-		buf.Write(lenPrefix[:])
-		w, err := flate.NewWriter(&buf, m.level)
+		d, err := m.getDeflater()
 		if err != nil {
-			return nil, fmt.Errorf("compression: creating writer: %w", err)
+			return nil, err
 		}
-		if _, err := w.Write(p); err != nil {
+		defer m.putDeflater(d)
+		d.buf = append(d.buf, frameDeflate, 0, 0, 0, 0)
+		putULongBE(d.buf[1:5], uint32(len(p)))
+		if _, err := d.w.Write(p); err != nil {
 			return nil, fmt.Errorf("compression: compressing: %w", err)
 		}
-		if err := w.Close(); err != nil {
+		if err := d.w.Close(); err != nil {
 			return nil, fmt.Errorf("compression: flushing: %w", err)
 		}
 		// Incompressible payloads can grow; fall back to stored.
-		if buf.Len() < len(p)+5 {
-			m.account(len(p), buf.Len(), true)
-			return buf.Bytes(), nil
+		if len(d.buf) < len(p)+5 {
+			m.account(len(p), len(d.buf), true)
+			return bytes.Clone(d.buf), nil
 		}
 	}
 	out := make([]byte, 0, len(p)+5)
@@ -138,22 +217,45 @@ func (m *Module) unwrap(p []byte) ([]byte, error) {
 		}
 		return p[5:], nil
 	case frameDeflate:
-		r := flate.NewReader(bytes.NewReader(p[5:]))
-		defer r.Close()
-		out := make([]byte, 0, origLen)
-		buf := bytes.NewBuffer(out)
-		if _, err := io.CopyN(buf, r, int64(origLen)); err != nil {
+		body := p[5:]
+		if uint64(origLen) > maxRatio*uint64(len(body)) {
+			return nil, fmt.Errorf("compression: original length %d exceeds deflate's ratio over %d bytes", origLen, len(body))
+		}
+		f := m.getInflater(body)
+		defer m.putInflater(f)
+		out, err := readExactly(f.r, int(origLen))
+		if err != nil {
 			return nil, fmt.Errorf("compression: decompressing: %w", err)
 		}
 		// Trailing garbage would mean a corrupted frame.
-		var tail [1]byte
-		if n, _ := r.Read(tail[:]); n != 0 {
+		if n, _ := f.r.Read(f.tail[:]); n != 0 {
 			return nil, fmt.Errorf("compression: trailing bytes after deflate stream")
 		}
-		return buf.Bytes(), nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("compression: unknown frame type %d", p[0])
 	}
+}
+
+// readExactly reads n bytes from r. It allocates at most initialOut up
+// front and grows the output only as bytes arrive, so a frame that lies
+// about its length costs what it decodes, not what it claims.
+func readExactly(r io.Reader, n int) ([]byte, error) {
+	out := make([]byte, 0, min(n, initialOut))
+	for len(out) < n {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, min(cap(out), n-len(out)))
+		}
+		k, err := r.Read(out[len(out):min(cap(out), n)])
+		out = out[:len(out)+k]
+		if err == io.EOF && len(out) < n {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Send implements transport.Module: compress the request payload, send,

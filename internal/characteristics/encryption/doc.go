@@ -8,7 +8,8 @@
 //
 // Session keys are established per binding through the module's dynamic
 // interface: the client module performs an X25519 handshake with the
-// server module before the first protected request — a direct rendition
+// server module before the first protected request (one per binding,
+// however many first calls race for it) — a direct rendition
 // of the paper's "QoS to QoS" communication ("on the fly change of
 // encryption keys ... should use the underlying middleware").
 package encryption
