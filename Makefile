@@ -12,7 +12,7 @@ BENCH_PKGS = . ./internal/orb ./internal/cdr ./internal/characteristics/compress
 
 # Native fuzz targets run by `make fuzz-smoke`, as package:Target pairs,
 # each for FUZZ_TIME. Their seed corpora are under testdata/fuzz.
-FUZZ_TARGETS = ./internal/obs:FuzzParseTraceparent ./internal/characteristics/compression:FuzzUnwrap ./internal/characteristics/encryption:FuzzOpen
+FUZZ_TARGETS = ./internal/obs:FuzzParseTraceparent ./internal/obs:FuzzDecodeTraceReturn ./internal/characteristics/compression:FuzzUnwrap ./internal/characteristics/encryption:FuzzOpen
 FUZZ_TIME = 3s
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
@@ -156,9 +156,10 @@ cover:
 
 # slo-smoke exercises the SLO engine's burn windows, state machine and
 # facade wiring race-enabled — a focused gate that fails fast when the
-# budget arithmetic or the degrader hookup regresses.
+# budget arithmetic or the degrader hookup (TestDegrader*: WatchSLO and
+# the breaker trigger) regresses.
 slo-smoke:
-	$(GO) test -race -run 'TestSLO|TestWindowCounter|TestHealthAndReady' ./internal/qos ./internal/obs .
+	$(GO) test -race -run 'TestSLO|TestDegrader|TestWindowCounter|TestHealthAndReady' ./internal/qos ./internal/obs .
 
 # chaos runs the fault-injection stress tests race-enabled: the seeded
 # FaultPlan chaos run, the shed-storm overload case (TestChaosShedStorm,

@@ -107,12 +107,7 @@ func runFaultsDemo(w *os.File, calls int, flight bool) error {
 		}}
 	}
 	degrader := maqs.NewDegrader(stub, levelStep("cheap-compression", 1), levelStep("compression-off", 0))
-	mon := maqs.NewMonitor(64)
-	stub.AddObserver(mon.Observe)
-	stub.AddObserver(degrader.WatchMonitor(mon, maqs.Rule{
-		Name:     "error-rate",
-		Violated: func(s maqs.Stats) bool { return s.Window >= 16 && s.ErrorRate > 0.5 },
-	}))
+	degrader.WatchSLO(client.SLO)
 	degrader.WatchBreakers(client.ORB.Breakers())
 
 	var transMu sync.Mutex

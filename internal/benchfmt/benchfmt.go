@@ -23,9 +23,24 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Value and Unit carry measurements that are not a per-op duration
-	// (throughput in req/s, error counts). Absent on benchmark lines.
+	// (throughput in req/s, error counts). Absent on benchmark lines;
+	// whenever Unit is set, Value is written even when it is zero.
 	Value float64 `json:"value,omitempty"`
 	Unit  string  `json:"unit,omitempty"`
+}
+
+// MarshalJSON writes value whenever Unit is set, so a measured zero
+// ("0 errors") is not mistaken for a missing measurement.
+func (r Result) MarshalJSON() ([]byte, error) {
+	type plain Result
+	if r.Unit == "" {
+		return json.Marshal(plain(r))
+	}
+	return json.Marshal(struct {
+		plain
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	}{plain(r), r.Value, r.Unit})
 }
 
 // Doc is one BENCH_*.json trajectory point: a context block describing

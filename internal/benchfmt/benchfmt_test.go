@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -97,5 +98,34 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 	if back.Context["git_commit"] == "" || back.Context["generated_at"] == "" {
 		t.Fatalf("context lost its stamp: %v", back.Context)
+	}
+}
+
+// TestResultZeroValueRoundTrip keeps a measured zero: a result with a
+// unit writes its value even when it is 0, and unitless benchmark lines
+// stay without one.
+func TestResultZeroValueRoundTrip(t *testing.T) {
+	zero := Result{Name: "Loadgen/gold/errors", Iterations: 10, Unit: "count", Value: 0}
+	data, err := json.Marshal(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"value":0`) {
+		t.Fatalf("zero value dropped: %s", data)
+	}
+	var back Result
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != zero {
+		t.Fatalf("round trip = %+v, want %+v", back, zero)
+	}
+
+	data, err = json.Marshal(Result{Name: "BenchmarkEcho", Iterations: 10, NsPerOp: 123})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"BenchmarkEcho","iterations":10,"ns_per_op":123}`; string(data) != want {
+		t.Fatalf("benchmark line = %s, want %s", data, want)
 	}
 }

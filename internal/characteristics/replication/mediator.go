@@ -237,7 +237,7 @@ type replicaReply struct {
 // `next` continuation. That is deliberately equivalent, not a shortcut:
 // the stub hands mediators exactly orb.Invoke as next (see
 // qos.Stub.mediate), so there is no delivery stage between mediator and
-// transport to bypass, and per-call conformance/SLO observation happens
+// transport to bypass, and per-call observation (metrics, SLO) happens
 // in the stub bracket around Deliver — per logical call, never per
 // replica — for failover and active alike. If a stage is ever layered
 // between mediator and ORB, this dispatch must be routed through it.

@@ -126,8 +126,8 @@ func E8Negotiation() (*Table, error) {
 		fmtDur(time.Since(start)),
 	})
 
-	// Adaptation loop: a latency rule fires once the link degrades, and
-	// the action renegotiates down to tier 1.
+	// Adaptation loop: a latency objective burns its error budget once
+	// the link degrades, and a one-rung degrader renegotiates to tier 1.
 	stub3 := qos.NewStubWithRegistry(client, ref, registry)
 	if _, err := stub3.Negotiate(context.Background(), &qos.Proposal{
 		Characteristic: "Tiered",
@@ -135,25 +135,14 @@ func E8Negotiation() (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	monitor := qos.NewMonitor(16)
-	stub3.SetObserver(monitor.Observe)
-	adapted := make(chan struct{}, 1)
-	adaptor := qos.NewAdaptor(monitor, func(rule qos.Rule, s qos.Stats) {
-		if _, err := stub3.Renegotiate(context.Background(), &qos.Proposal{
-			Characteristic: "Tiered",
-			Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(1)}},
-		}); err == nil {
-			select {
-			case adapted <- struct{}{}:
-			default:
-			}
-		}
-	})
-	adaptor.AddRule(qos.Rule{
-		Name:     "latency-degraded",
-		Violated: func(s qos.Stats) bool { return s.Window >= 8 && s.P50 > 5*time.Millisecond },
-		Cooldown: time.Hour,
-	})
+	slo := qos.NewSLOEngine(nil, nil)
+	slo.SetObjective("Tiered", qos.Objective{Name: "latency", Target: 0.99, MaxRTT: 5 * time.Millisecond})
+	stub3.SetObserver(slo.Observer("Tiered"))
+	degrader := qos.NewDegrader(stub3, qos.DegradeStep{Name: "tier-1", Proposal: &qos.Proposal{
+		Characteristic: "Tiered",
+		Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(1)}},
+	}})
+	degrader.WatchSLO(slo)
 
 	call := func() error {
 		_, err := stub3.Call(context.Background(), "echo", []byte{0, 0, 0, 0})
@@ -163,11 +152,10 @@ func E8Negotiation() (*Table, error) {
 		if err := call(); err != nil {
 			return nil, err
 		}
-		adaptor.Evaluate()
 	}
-	preDegrade := len(adapted) > 0
+	preDegrade := degrader.Level() > 0
 
-	// Degrade the link and keep calling; the rule must fire.
+	// Degrade the link and keep calling; the objective must burn.
 	n.SetLink("client", "server", netsim.Link{Latency: 8 * time.Millisecond})
 	// New connections pick up the link; cut the old one.
 	n.Partition("client", "server")
@@ -176,12 +164,7 @@ func E8Negotiation() (*Table, error) {
 	var fired bool
 	for i := 0; i < 64 && !fired; i++ {
 		_ = call() // the first call after the partition may fail; retry
-		adaptor.Evaluate()
-		select {
-		case <-adapted:
-			fired = true
-		default:
-		}
+		fired = degrader.Level() > 0
 	}
 	if preDegrade {
 		return nil, fmt.Errorf("adaptation fired before degradation")
@@ -190,8 +173,8 @@ func E8Negotiation() (*Table, error) {
 		return nil, fmt.Errorf("adaptation never fired after degradation")
 	}
 	t.Rows = append(t.Rows, []string{
-		"adaptation (monitor→renegotiate)",
-		fmt.Sprintf("tier now %g after latency rule fired", stub3.Binding().Contract.Number("tier", 0)),
+		"adaptation (SLO burn→renegotiate)",
+		fmt.Sprintf("tier now %g after latency budget burned", stub3.Binding().Contract.Number("tier", 0)),
 		fmtDur(time.Since(start)),
 	})
 	t.Notes = append(t.Notes,

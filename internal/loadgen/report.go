@@ -174,9 +174,7 @@ func (c *classRun) report(elapsed time.Duration) ClassReport {
 	return cr
 }
 
-// sloObjectives extracts the class's own objectives from its SLO engine
-// (the engine may also hold contract-derived state keyed by the
-// characteristic name; only the scenario class's view is reported).
+// sloObjectives extracts the class's objectives from its SLO engine.
 func (c *classRun) sloObjectives() []qos.SLOObjectiveStatus {
 	if c.sys.SLO == nil {
 		return nil

@@ -274,9 +274,13 @@ func (c *classRun) setup(ctx context.Context, target *ior.IOR) error {
 			return fmt.Errorf("loadgen: class %q: loading module %s: %w", c.scn.Class, mod, err)
 		}
 	}
+	// Stubs are built without System.Stub's SLO observer, which scores
+	// under the negotiated characteristic: each call is scored once,
+	// under the scenario class (the engine observer attached below).
 	c.stubs = make([]*qos.Stub, c.scn.Clients)
 	for i := range c.stubs {
-		stub := c.sys.Stub(target)
+		stub := qos.NewStubWithRegistry(c.sys.ORB, target, c.sys.Registry)
+		stub.AddObserver(qos.MetricsObserver(c.bundle.Registry))
 		stub.DeclareIdempotent(c.scn.Operation)
 		c.stubs[i] = stub
 	}

@@ -230,6 +230,18 @@ func TestRunnerNegotiatedClass(t *testing.T) {
 	if !strings.Contains(summary.String(), "gold") {
 		t.Fatalf("periodic summary missing class line:\n%s", summary.String())
 	}
+	// Every call is scored once, under the scenario class only — not
+	// also under the negotiated characteristic.
+	st := runner.classes[0].sys.SLO.Status()
+	if len(st.Classes) != 1 || st.Classes[0].Class != "gold" || len(st.Classes[0].Objectives) == 0 {
+		t.Fatalf("SLO classes = %+v, want only gold, with objectives", st.Classes)
+	}
+	const warmup = 8 // setup warms min(Clients, 8) stubs
+	for _, o := range st.Classes[0].Objectives {
+		if got := o.Good + o.Bad; got != c.Completed+warmup {
+			t.Fatalf("objective %s scored %d calls, want %d", o.Objective, got, c.Completed+warmup)
+		}
+	}
 }
 
 func TestRunnerStatusBeforeAndDuringRun(t *testing.T) {

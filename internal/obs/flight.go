@@ -18,9 +18,6 @@ const (
 	// AnomalyDeadlineMiss marks an invocation that blew its deadline
 	// budget (context deadline or TIMEOUT exception).
 	AnomalyDeadlineMiss = "deadline-miss"
-	// AnomalyQoSViolation marks an observation outside the bounds the
-	// QoS contract negotiated (see qos.ConformanceObserver).
-	AnomalyQoSViolation = "qos-violation"
 	// AnomalyDegradeStep marks the QoS degradation ladder stepping down.
 	AnomalyDegradeStep = "qos-degrade"
 	// AnomalyOverloadShed marks sustained server-side admission shedding:
@@ -269,7 +266,7 @@ func (f *FlightRecorder) Trigger(kind string, trigger FlightRecord) string {
 
 // evictLocked drops one dump to get back under maxDumps. Eviction is
 // kind-aware: the oldest dump of the most numerous kind goes first, so
-// a flood of one anomaly (a qos-violation storm, say) cannot wash a
+// a flood of one anomaly (a retry-exhausted storm, say) cannot wash a
 // rare kind's only dump (an slo-burn, a breaker-open) out of the
 // retained set.
 func (f *FlightRecorder) evictLocked() {

@@ -109,7 +109,7 @@ func TestFlightSnapshotAndUnknownDump(t *testing.T) {
 	f := NewFlightRecorder(4, 2, 4)
 	f.SetDumpCooldown(0)
 	f.Record(FlightRecord{Operation: "a", Outcome: "ok"})
-	f.Trigger(AnomalyQoSViolation, FlightRecord{Operation: "a"})
+	f.Trigger(AnomalyDeadlineMiss, FlightRecord{Operation: "a"})
 	s := f.Snapshot(0)
 	if s.Total != 1 || len(s.Records) != 1 || len(s.Dumps) != 1 {
 		t.Fatalf("snapshot = %+v", s)
@@ -181,10 +181,10 @@ func TestFlightDumpEvictionKindAware(t *testing.T) {
 	}
 	var flood []string
 	for i := 0; i < 6; i++ {
-		flood = append(flood, f.Trigger(AnomalyQoSViolation, FlightRecord{Operation: "echo"}))
+		flood = append(flood, f.Trigger(AnomalyRetryExhausted, FlightRecord{Operation: "echo"}))
 	}
 	if _, ok := f.Dump(rare); !ok {
-		t.Fatalf("rare %s dump evicted by a %s flood", AnomalySLOBurn, AnomalyQoSViolation)
+		t.Fatalf("rare %s dump evicted by a %s flood", AnomalySLOBurn, AnomalyRetryExhausted)
 	}
 	sums := f.Dumps()
 	if len(sums) != 4 {

@@ -38,7 +38,7 @@ func TestProfilerCapturesOnWatchedAnomaly(t *testing.T) {
 func TestProfilerIgnoresUnwatchedKinds(t *testing.T) {
 	p := NewProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond})
 	p.OnAnomaly("deadline-miss-1", AnomalyDeadlineMiss, "")
-	p.OnAnomaly("qos-violation-1", AnomalyQoSViolation, "")
+	p.OnAnomaly("retry-exhausted-1", AnomalyRetryExhausted, "")
 	p.Flush()
 	if got := len(p.Captures()); got != 0 {
 		t.Fatalf("unwatched anomalies captured %d profiles", got)

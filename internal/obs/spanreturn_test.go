@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -135,5 +138,65 @@ func TestSpanCaptureReturnPayload(t *testing.T) {
 	plain.End()
 	if plain.ReturnPayload() != nil {
 		t.Fatal("unarmed span produced a payload")
+	}
+}
+
+// FuzzDecodeTraceReturn feeds the reply-direction span decoder hostile
+// bytes: it must never panic, and whatever it accepts must survive a
+// re-encode and decode unchanged.
+func FuzzDecodeTraceReturn(f *testing.F) {
+	trace := newTraceID()
+	sums := sampleSummaries(3)
+	sums[1].Err = "BAD_OPERATION"
+	payload := EncodeTraceReturn(trace, sums, 0)
+	f.Add(payload)
+	f.Add(EncodeTraceReturn(trace, sampleSummaries(maxReturnSpans), 1<<16))
+	f.Add([]byte{})
+	f.Add(append([]byte{99}, payload[1:]...))
+	f.Add(payload[:len(payload)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeTraceReturn(data)
+		if err != nil || len(recs) == 0 {
+			return // an empty span list re-encodes to nil by design
+		}
+		again, err := DecodeTraceReturn(reencodeTraceReturn(t, recs))
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("round trip changed records:\n%+v\n%+v", recs, again)
+		}
+	})
+}
+
+// reencodeTraceReturn rebuilds the wire summaries of decoded records and
+// encodes them with a budget large enough to keep every span.
+func reencodeTraceReturn(t *testing.T, recs []SpanRecord) []byte {
+	t.Helper()
+	var trace TraceID
+	mustHex(t, trace[:], recs[0].TraceID)
+	sums := make([]SpanSummary, len(recs))
+	for i, rec := range recs {
+		s := &sums[i]
+		mustHex(t, s.SpanID[:], rec.SpanID)
+		if rec.ParentID != "" {
+			mustHex(t, s.ParentID[:], rec.ParentID)
+		}
+		s.RemoteParent = rec.RemoteParent
+		s.Name, s.Operation, s.Err = rec.Name, rec.Operation, rec.Err
+		s.StartUnixNano = rec.Start.UnixNano()
+		s.DurationNano = int64(rec.Duration)
+	}
+	payload := EncodeTraceReturn(trace, sums, math.MaxInt32)
+	if payload == nil {
+		t.Fatalf("decoded records did not re-encode: %+v", recs)
+	}
+	return payload
+}
+
+func mustHex(t *testing.T, dst []byte, s string) {
+	t.Helper()
+	if n, err := hex.Decode(dst, []byte(s)); err != nil || n != len(dst) {
+		t.Fatalf("decoded id %q is not %d hex bytes: %v", s, len(dst), err)
 	}
 }

@@ -62,7 +62,7 @@ type Future struct {
 	fl flight
 
 	// onDone, when set, runs on the completing goroutine before Done is
-	// closed (the qos layer hangs its conformance/SLO observation here).
+	// closed (the qos layer hangs its observer calls here).
 	// It must be cheap and must not block: on the fast path it executes
 	// inside the connection's read loop.
 	onDone func(*Outcome, error)
@@ -275,7 +275,7 @@ func (o *ORB) InvokeAsync(ctx context.Context, inv *Invocation) (*Future, error)
 
 // InvokeAsyncObserved is InvokeAsync with a completion hook: onDone runs
 // on the completing goroutine, before the future's Done channel closes.
-// The qos layer uses it for async-aware conformance and SLO observation.
+// The qos layer uses it to observe async calls (metrics, SLO scoring).
 func (o *ORB) InvokeAsyncObserved(ctx context.Context, inv *Invocation, onDone func(*Outcome, error)) (*Future, error) {
 	return o.invokeAsync(ctx, inv, onDone)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Contract parameter names the admission mapping understands, alongside
-// ContractMaxRTTMs (conformance.go). Both are optional: characteristics
+// ContractMaxRTTMs (slo.go). Both are optional: characteristics
 // that do not negotiate them keep the base policy's bounds.
 const (
 	// ContractDispatchWorkers is the negotiated worker-pool width for

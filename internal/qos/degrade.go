@@ -30,11 +30,12 @@ var ErrLadderExhausted = errors.New("qos: degradation ladder exhausted")
 // Degrader drives the paper's renegotiation machinery automatically:
 // instead of failing calls when the contract cannot be met, the binding
 // is renegotiated down a ladder of degraded contracts. It reacts to two
-// signals — sustained violation reported by a Monitor rule
-// (WatchMonitor) and endpoint health reported by the ORB's circuit
-// breakers (WatchBreakers) — and can be stepped manually with
-// Degrade/Recover. All reactions renegotiate asynchronously, off the
-// invocation path that triggered them.
+// signals — the binding's SLO error budget burning (WatchSLO) and
+// endpoint health reported by the ORB's circuit breakers
+// (WatchBreakers) — and can be stepped manually with Degrade/Recover.
+// Both signals enter through one single-flighted, cooldown-gated
+// trigger that renegotiates asynchronously, off the invocation path
+// that fired it.
 type Degrader struct {
 	stub     *Stub
 	steps    []DegradeStep
@@ -61,7 +62,7 @@ func NewDegrader(s *Stub, steps ...DegradeStep) *Degrader {
 }
 
 // SetCooldown bounds how often automatic triggers may step the ladder
-// (default 1s). Set it before wiring WatchMonitor/WatchBreakers.
+// (default 1s). Set it before wiring WatchSLO/WatchBreakers.
 func (d *Degrader) SetCooldown(c time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -181,16 +182,20 @@ func (d *Degrader) Recover(ctx context.Context) (*Contract, error) {
 	return contract, nil
 }
 
-// WatchMonitor returns an Observer (attach it with Stub.AddObserver)
-// that evaluates the given rules against the monitor after every call
-// and steps the ladder down when one is violated — the "sustained
-// contract violation" trigger.
-func (d *Degrader) WatchMonitor(m *Monitor, rules ...Rule) Observer {
-	a := NewAdaptor(m, func(r Rule, _ Stats) { d.degradeAsync("rule:" + r.Name) })
-	for _, r := range rules {
-		a.AddRule(r)
-	}
-	return func(Observation) { a.Evaluate() }
+// WatchSLO steps the ladder down when an objective of the binding's own
+// class enters burning: the error budget, not a single violation, drives
+// descent. Burns in other classes (other stubs on the same engine) are
+// ignored. A nil engine is a no-op.
+func (d *Degrader) WatchSLO(e *SLOEngine) {
+	e.OnBurn(func(ev BurnEvent) {
+		if ev.State != SLOBurning {
+			return
+		}
+		if b := d.stub.Binding(); b == nil || b.Characteristic != ev.Class {
+			return
+		}
+		d.degradeAsync("slo-burn:" + ev.Class + "/" + ev.Objective)
+	})
 }
 
 // WatchBreakers reacts to the ORB's circuit breakers: a breaker opening
@@ -219,10 +224,10 @@ func (d *Degrader) WatchBreakers(g *resilience.Group) {
 	})
 }
 
-// degradeAsync steps the ladder in a fresh goroutine, off the breaker
-// subscriber / stub observer that triggered it (renegotiation re-enters
-// the invocation path, so it must not run inline). Single-flighted and
-// cooldown-gated.
+// degradeAsync is the one automatic trigger: it steps the ladder in a
+// fresh goroutine, off the breaker subscriber / SLO burn hook that fired
+// it (renegotiation re-enters the invocation path, so it must not run
+// inline). Single-flighted and cooldown-gated.
 func (d *Degrader) degradeAsync(reason string) {
 	d.mu.Lock()
 	tooSoon := !d.lastChange.IsZero() && time.Since(d.lastChange) < d.cooldown

@@ -105,21 +105,19 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 	}
 }
 
-func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
+func TestDegraderWatchSLOTriggersAutomaticDegradation(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 9)
 
 	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
 	d.SetCooldown(0)
-	mon := NewMonitor(8)
-	w.stub.AddObserver(mon.Observe)
-	w.stub.AddObserver(d.WatchMonitor(mon, Rule{
-		Name:     "error-rate",
-		Violated: func(s Stats) bool { return s.Window >= 4 && s.ErrorRate > 0.5 },
-	}))
+	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
+	w.stub.AddObserver(e.ObserverForStub(w.stub))
+	d.WatchSLO(e)
 
-	// Sustained violation: every call errors server-side.
-	for i := 0; i < 8; i++ {
+	// Sustained violation: every call errors server-side, burning the
+	// contract-derived errors objective's budget.
+	for i := 0; i < 12; i++ {
 		_, err := w.stub.Call(context.Background(), "boom", nil)
 		if err == nil {
 			t.Fatal("boom should fail")
@@ -149,8 +147,8 @@ func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
 			reason = a.Value
 		}
 	}
-	if reason != "rule:error-rate" {
-		t.Fatalf("qos.degrade reason = %q, want rule:error-rate", reason)
+	if reason != "slo-burn:Tracing/errors" {
+		t.Fatalf("qos.degrade reason = %q, want slo-burn:Tracing/errors", reason)
 	}
 	if _, ok := spanByName(records, "qos.renegotiate"); !ok {
 		t.Fatal("automatic degradation did not renegotiate")
@@ -164,7 +162,32 @@ func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
 	}
 }
 
-func TestBreakerTransitionsTriggerPendingDegradation(t *testing.T) {
+// TestDegraderWatchSLOIgnoresOtherClasses shares one engine between two
+// classes: a burn in the other class must leave this binding's ladder
+// alone, a burn in its own class steps it.
+func TestDegraderWatchSLOIgnoresOtherClasses(t *testing.T) {
+	w, bundle := newObservedWorld(t, 0)
+	negotiateLevel(t, w, 9)
+	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
+	d.SetCooldown(0)
+
+	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
+	e.SetObjective("Compression", Objective{Name: "errors", Target: 0.99})
+	e.SetObjective("Tracing", Objective{Name: "errors", Target: 0.99})
+	d.WatchSLO(e)
+
+	observeN(e, "Compression", 20, errors.New("boom"))
+	// The burn hook runs synchronously, so a wrongly fired step is
+	// either still in flight or already applied.
+	if d.inflight.Load() || d.Level() != 0 {
+		t.Fatalf("Compression burn stepped the Tracing ladder (level %d)", d.Level())
+	}
+
+	observeN(e, "Tracing", 20, errors.New("boom"))
+	waitForLevel(t, d, 1)
+}
+
+func TestDegraderBreakerTransitionsTriggerPendingDegradation(t *testing.T) {
 	w, _ := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 9)
 

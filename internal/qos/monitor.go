@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"maqs/internal/obs"
 )
 
 // Stats is a snapshot of a monitor's sliding window.
@@ -27,9 +25,10 @@ type Stats struct {
 	Throughput float64
 }
 
-// Monitor accumulates invocation observations into a sliding window; it
-// is the measuring half of the framework's monitoring infrastructure
-// service. Attach it to a stub with Stub.SetObserver(monitor.Observe).
+// Monitor accumulates invocation observations into a sliding window: a
+// statistics view (percentiles, EWMA, error rate, throughput) of one
+// stub's recent calls. It scores nothing against the contract — that is
+// the SLOEngine's job. Attach it with Stub.AddObserver(monitor.Observe).
 type Monitor struct {
 	mu         sync.Mutex
 	windowSize int
@@ -41,11 +40,6 @@ type Monitor struct {
 	errors     uint64
 	ewma       float64 // nanoseconds
 	ewmaSet    bool    // distinguishes "no observation yet" from a 0ns EWMA
-
-	// Optional metrics sinks (see Publish); nil instruments are no-ops.
-	mObservations *obs.Counter
-	mErrors       *obs.Counter
-	mRTT          *obs.Histogram
 }
 
 // NewMonitor constructs a monitor with the given sliding window size.
@@ -54,31 +48,6 @@ func NewMonitor(windowSize int) *Monitor {
 		windowSize = 64
 	}
 	return &Monitor{windowSize: windowSize, alpha: 0.2, ring: make([]Observation, windowSize)}
-}
-
-// Publish additionally feeds every observation into reg. With an empty
-// prefix it binds to the canonical client instruments
-// (maqs_client_requests_total / _errors_total / _rtt_seconds) — the very
-// same Counter and Histogram pointers MetricsObserver uses, so a stub
-// carrying both sinks double-counts visibly rather than registering a
-// parallel maqs_monitor_* family of the same measurement (attach only
-// one of the two). A non-empty prefix keeps the historical behaviour:
-// <prefix>_observations_total, <prefix>_errors_total and the
-// <prefix>_rtt_seconds histogram, for monitors that watch something
-// other than the whole client. The monitor's sliding-window statistics
-// are unaffected.
-func (m *Monitor) Publish(reg *obs.Registry, prefix string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prefix == "" {
-		m.mObservations = reg.Counter(MetricClientRequests)
-		m.mErrors = reg.Counter(MetricClientErrors)
-		m.mRTT = reg.Histogram(MetricClientRTT, nil)
-		return
-	}
-	m.mObservations = reg.Counter(prefix + "_observations_total")
-	m.mErrors = reg.Counter(prefix + "_errors_total")
-	m.mRTT = reg.Histogram(prefix+"_rtt_seconds", nil)
 }
 
 // Observe records one invocation. It matches the Observer signature.
@@ -102,14 +71,7 @@ func (m *Monitor) Observe(o Observation) {
 	} else {
 		m.ewma = m.alpha*float64(o.RTT) + (1-m.alpha)*m.ewma
 	}
-	obsC, errC, rttH := m.mObservations, m.mErrors, m.mRTT
 	m.mu.Unlock()
-
-	obsC.Inc()
-	if o.Err != nil {
-		errC.Inc()
-	}
-	rttH.Observe(o.RTT)
 }
 
 // Snapshot summarises the current window.
@@ -153,77 +115,4 @@ func (m *Monitor) Snapshot() Stats {
 		st.Throughput = float64(n-1) / span.Seconds()
 	}
 	return st
-}
-
-// Rule is one adaptation trigger: when Violated holds over a snapshot,
-// the adaptor fires its action (typically a renegotiation), subject to a
-// cooldown.
-type Rule struct {
-	// Name identifies the rule in diagnostics.
-	Name string
-	// Violated checks the snapshot.
-	Violated func(Stats) bool
-	// Cooldown suppresses re-firing for this long.
-	Cooldown time.Duration
-}
-
-// Adaptor evaluates rules over a monitor and drives adaptation actions —
-// the runtime piece of the paper's "QoS adaptation" concern: varying
-// resource availability is answered by renegotiation.
-type Adaptor struct {
-	monitor *Monitor
-	action  func(rule Rule, s Stats)
-
-	mu        sync.Mutex
-	rules     []Rule
-	lastFired map[string]time.Time
-}
-
-// NewAdaptor constructs an adaptor; action runs for every violated rule.
-func NewAdaptor(m *Monitor, action func(rule Rule, s Stats)) *Adaptor {
-	return &Adaptor{monitor: m, action: action, lastFired: make(map[string]time.Time)}
-}
-
-// AddRule registers an adaptation rule.
-func (a *Adaptor) AddRule(r Rule) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.rules = append(a.rules, r)
-}
-
-// Evaluate checks all rules against the current snapshot and fires
-// actions for violated ones. It returns the names of fired rules. Call it
-// periodically or from an Observer.
-func (a *Adaptor) Evaluate() []string {
-	s := a.monitor.Snapshot()
-	now := time.Now()
-	var fired []string
-	a.mu.Lock()
-	rules := append([]Rule(nil), a.rules...)
-	a.mu.Unlock()
-	for _, r := range rules {
-		if !r.Violated(s) {
-			continue
-		}
-		a.mu.Lock()
-		last, seen := a.lastFired[r.Name]
-		if seen && now.Sub(last) < r.Cooldown {
-			a.mu.Unlock()
-			continue
-		}
-		a.lastFired[r.Name] = now
-		a.mu.Unlock()
-		fired = append(fired, r.Name)
-		if a.action != nil {
-			a.action(r, s)
-		}
-	}
-	return fired
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

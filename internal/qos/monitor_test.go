@@ -84,22 +84,3 @@ func TestMonitorEmptySnapshot(t *testing.T) {
 		t.Fatalf("empty stats = %+v", st)
 	}
 }
-
-func TestAdaptorRefiresAfterCooldown(t *testing.T) {
-	m := NewMonitor(4)
-	feed(m, time.Second, time.Second, time.Second, time.Second)
-	fired := 0
-	a := NewAdaptor(m, func(Rule, Stats) { fired++ })
-	a.AddRule(Rule{
-		Name:     "slow",
-		Violated: func(s Stats) bool { return s.Mean > time.Millisecond },
-		Cooldown: 10 * time.Millisecond,
-	})
-	a.Evaluate()
-	a.Evaluate() // within cooldown: suppressed
-	time.Sleep(15 * time.Millisecond)
-	a.Evaluate() // past cooldown: fires again
-	if fired != 2 {
-		t.Fatalf("fired = %d", fired)
-	}
-}

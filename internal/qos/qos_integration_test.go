@@ -541,33 +541,6 @@ func TestObserverAndMonitor(t *testing.T) {
 	}
 }
 
-func TestAdaptorFiresOncePerCooldown(t *testing.T) {
-	mon := NewMonitor(8)
-	for i := 0; i < 8; i++ {
-		mon.Observe(Observation{RTT: 100 * time.Millisecond, At: time.Now()})
-	}
-	var fired int
-	a := NewAdaptor(mon, func(Rule, Stats) { fired++ })
-	a.AddRule(Rule{
-		Name:     "latency",
-		Violated: func(s Stats) bool { return s.Mean > 10*time.Millisecond },
-		Cooldown: time.Hour,
-	})
-	a.AddRule(Rule{
-		Name:     "never",
-		Violated: func(s Stats) bool { return false },
-	})
-	if got := a.Evaluate(); len(got) != 1 || got[0] != "latency" {
-		t.Fatalf("fired = %v", got)
-	}
-	if got := a.Evaluate(); len(got) != 0 {
-		t.Fatalf("cooldown ignored: %v", got)
-	}
-	if fired != 1 {
-		t.Fatalf("actions = %d", fired)
-	}
-}
-
 func TestMonitorWindowSlides(t *testing.T) {
 	mon := NewMonitor(4)
 	for i := 0; i < 10; i++ {

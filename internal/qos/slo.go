@@ -10,12 +10,15 @@ import (
 	"maqs/internal/obs"
 )
 
-// Contract terms the SLO engine derives objectives from, alongside
-// ContractMaxRTTMs (conformance.go). A contract that negotiates
-// max_rtt_ms implicitly states a latency SLO; slo_target tunes what
-// fraction of requests must meet it, and max_error_rate bounds the
-// error budget independently.
+// Contract terms the SLO engine derives objectives from. A contract
+// that negotiates max_rtt_ms implicitly states a latency SLO; slo_target
+// tunes what fraction of requests must meet it, and max_error_rate
+// bounds the error budget independently.
 const (
+	// ContractMaxRTTMs is the negotiated upper bound on round-trip time,
+	// in milliseconds. Contracts without it (or with a non-positive
+	// value) state no latency objective.
+	ContractMaxRTTMs = "max_rtt_ms"
 	// ContractSLOTarget is the fraction of requests that must be good
 	// (0 < target < 1); DefaultSLOTarget applies when absent.
 	ContractSLOTarget = "slo_target"
@@ -91,7 +94,7 @@ type Objective struct {
 }
 
 // BurnEvent describes one objective state transition, delivered to
-// OnBurn hooks (and through them to the Degrader).
+// OnBurn hooks (and through them to Degrader.WatchSLO).
 type BurnEvent struct {
 	Class     string
 	Objective string
@@ -130,14 +133,14 @@ type classSLO struct {
 	objectives []*objectiveState
 }
 
-// SLOEngine scores client observations against contract-derived
-// objectives per QoS class, maintains rolling multi-window good/bad
-// counters, computes fast/slow burn-rate pairs and runs the
-// ok → warning → burning alert state machine. Entering burning freezes
-// a flight dump (obs.AnomalySLOBurn) and notifies hooks — wiring the
-// Degrader in makes ladder descent budget-driven instead of
-// single-violation-driven. A nil *SLOEngine is disabled: every method
-// is a no-op.
+// SLOEngine is the one place client observations are scored against
+// contract terms. Per QoS class it keeps contract-derived objectives,
+// rolling multi-window good/bad counters and fast/slow burn-rate pairs,
+// and runs the ok → warning → burning alert state machine. Entering
+// burning freezes a flight dump (obs.AnomalySLOBurn) and notifies hooks;
+// Degrader.WatchSLO hangs off them, so ladder descent is budget-driven
+// rather than single-violation-driven. A nil *SLOEngine is disabled:
+// every method is a no-op.
 type SLOEngine struct {
 	reg *obs.Registry
 	fr  *obs.FlightRecorder
@@ -145,9 +148,6 @@ type SLOEngine struct {
 	mu      sync.Mutex
 	classes map[string]*classSLO
 	hooks   []func(BurnEvent)
-
-	warn     float64
-	critical float64
 
 	// evalEvery throttles per-objective state evaluation; tests set 0
 	// to evaluate on every observation.
@@ -168,23 +168,10 @@ func NewSLOEngine(reg *obs.Registry, fr *obs.FlightRecorder) *SLOEngine {
 		reg:       reg,
 		fr:        fr,
 		classes:   map[string]*classSLO{},
-		warn:      DefaultWarnBurnRate,
-		critical:  DefaultCriticalBurnRate,
 		evalEvery: sloEvalInterval,
 		now:       time.Now,
 		newWindow: func() *obs.WindowCounter { return obs.NewWindowCounter(SLOBudgetWindow) },
 	}
-}
-
-// SetBurnThresholds overrides the warning and critical burn-rate
-// thresholds (both must be positive; critical should exceed warn).
-func (e *SLOEngine) SetBurnThresholds(warn, critical float64) {
-	if e == nil || warn <= 0 || critical <= 0 {
-		return
-	}
-	e.mu.Lock()
-	e.warn, e.critical = warn, critical
-	e.mu.Unlock()
 }
 
 // OnBurn registers a hook receiving every objective state transition.
@@ -197,19 +184,6 @@ func (e *SLOEngine) OnBurn(fn func(BurnEvent)) {
 	e.mu.Lock()
 	e.hooks = append(e.hooks, fn)
 	e.mu.Unlock()
-}
-
-// NotifyDegrader steps the degradation ladder whenever an objective
-// enters burning: the budget, not a single violation, drives descent.
-func (e *SLOEngine) NotifyDegrader(d *Degrader) {
-	if e == nil || d == nil {
-		return
-	}
-	e.OnBurn(func(ev BurnEvent) {
-		if ev.State == SLOBurning {
-			d.degradeAsync(fmt.Sprintf("slo-burn:%s/%s", ev.Class, ev.Objective))
-		}
-	})
 }
 
 // SetLatencySink registers a callback receiving each class's latency
@@ -440,7 +414,6 @@ func (e *SLOEngine) maybeEval(class string, os *objectiveState) {
 	samples := os.good.Sum(SLOFastWindow) + os.bad.Sum(SLOFastWindow)
 
 	e.mu.Lock()
-	warn, critical := e.warn, e.critical
 	hooks := e.hooks
 	e.mu.Unlock()
 
@@ -450,9 +423,9 @@ func (e *SLOEngine) maybeEval(class string, os *objectiveState) {
 		// Too few events to judge; hold the current state rather than
 		// flapping on single requests.
 		return
-	case fast >= critical && slow >= critical:
+	case fast >= DefaultCriticalBurnRate && slow >= DefaultCriticalBurnRate:
 		next = SLOBurning
-	case fast >= warn && slow >= warn:
+	case fast >= DefaultWarnBurnRate && slow >= DefaultWarnBurnRate:
 		next = SLOWarning
 	}
 

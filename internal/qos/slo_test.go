@@ -218,20 +218,6 @@ func TestSLOEngineStatusBudget(t *testing.T) {
 	}
 }
 
-func TestSLOEngineNotifyDegrader(t *testing.T) {
-	w, bundle := newObservedWorld(t, 0)
-	negotiateLevel(t, w, 9)
-	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
-	d.SetCooldown(0)
-
-	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
-	e.SetObjective("Tracing", Objective{Name: "errors", Target: 0.99})
-	e.NotifyDegrader(d)
-
-	observeN(e, "Tracing", 20, errors.New("boom"))
-	waitForLevel(t, d, 1)
-}
-
 func TestSLOEngineObserverForStub(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 3)
@@ -262,8 +248,7 @@ func TestSLOEngineNilSafe(t *testing.T) {
 	e.SetObjectivesFromContract("gold", &Contract{})
 	e.Observe("gold", Observation{})
 	e.OnBurn(func(BurnEvent) {})
-	e.NotifyDegrader(nil)
-	e.SetBurnThresholds(1, 2)
+	NewDegrader(nil).WatchSLO(e)
 	e.Observer("gold")(Observation{})
 	e.ObserverForStub(nil)(Observation{})
 	if st := e.Status(); len(st.Classes) != 0 {
