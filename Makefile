@@ -6,13 +6,13 @@ GO ?= go
 BENCH_OUT ?=
 
 # Packages whose benchmarks `make bench` and `make bench-smoke` run: the
-# E1..E10 families at the root, the orb/cdr micro-benches and the QoS
+# E1..E10 families at the root, the orb/cdr/giop micro-benches and the QoS
 # transport modules' per-message costs.
-BENCH_PKGS = . ./internal/orb ./internal/cdr ./internal/characteristics/compression ./internal/characteristics/encryption
+BENCH_PKGS = . ./internal/orb ./internal/cdr ./internal/giop ./internal/characteristics/compression ./internal/characteristics/encryption
 
 # Native fuzz targets run by `make fuzz-smoke`, as package:Target pairs,
 # each for FUZZ_TIME. Their seed corpora are under testdata/fuzz.
-FUZZ_TARGETS = ./internal/obs:FuzzParseTraceparent ./internal/obs:FuzzDecodeTraceReturn ./internal/characteristics/compression:FuzzUnwrap ./internal/characteristics/encryption:FuzzOpen
+FUZZ_TARGETS = ./internal/obs:FuzzParseTraceparent ./internal/obs:FuzzDecodeTraceReturn ./internal/giop:FuzzFrameReader ./internal/characteristics/compression:FuzzUnwrap ./internal/characteristics/encryption:FuzzOpen
 FUZZ_TIME = 3s
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's

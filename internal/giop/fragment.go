@@ -76,94 +76,3 @@ func writeFrame(w io.Writer, t MsgType, order cdr.ByteOrder, body []byte, more b
 	}
 	return nil
 }
-
-// readFrame reads one frame and reports the more-fragments flag.
-func readFrame(r io.Reader) (*Message, bool, error) {
-	hdr := make([]byte, HeaderSize)
-	return readFrameInto(r, hdr)
-}
-
-// readHeaderInto reads and validates one frame header into hdr (len >=
-// HeaderSize) and decodes its fields.
-func readHeaderInto(r io.Reader, hdr []byte) (t MsgType, order cdr.ByteOrder, more bool, size uint32, err error) {
-	hdr = hdr[:HeaderSize]
-	if _, err = io.ReadFull(r, hdr); err != nil {
-		return 0, 0, false, 0, err
-	}
-	if string(hdr[:4]) != Magic {
-		return 0, 0, false, 0, fmt.Errorf("giop: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != VersionMajor || hdr[5] != VersionMinor {
-		return 0, 0, false, 0, fmt.Errorf("giop: unsupported version %d.%d", hdr[4], hdr[5])
-	}
-	order = cdr.ByteOrder(hdr[6] & 1)
-	more = hdr[6]&flagMoreFragments != 0
-	t = MsgType(hdr[7])
-	if order == cdr.LittleEndian {
-		size = uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24
-	} else {
-		size = uint32(hdr[8])<<24 | uint32(hdr[9])<<16 | uint32(hdr[10])<<8 | uint32(hdr[11])
-	}
-	if size > MaxMessageSize {
-		return 0, 0, false, 0, fmt.Errorf("giop: message body %d exceeds limit", size)
-	}
-	return t, order, more, size, nil
-}
-
-// readFrameInto is readFrame with a caller-supplied header scratch buffer
-// (len >= HeaderSize), so per-connection read loops avoid one allocation
-// per frame.
-func readFrameInto(r io.Reader, hdr []byte) (*Message, bool, error) {
-	t, order, more, size, err := readHeaderInto(r, hdr)
-	if err != nil {
-		return nil, false, err
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, false, fmt.Errorf("giop: reading body: %w", err)
-	}
-	return &Message{Type: t, Order: order, Body: body}, more, nil
-}
-
-// ReadMessageReassembled reads one logical message, transparently
-// reassembling fragmented frames. Non-fragmented streams behave exactly
-// like ReadMessage.
-func ReadMessageReassembled(r io.Reader) (*Message, error) {
-	var hdr [HeaderSize]byte
-	return readReassembled(r, hdr[:])
-}
-
-// readReassembled implements ReadMessageReassembled over a caller-supplied
-// header scratch buffer.
-func readReassembled(r io.Reader, hdr []byte) (*Message, error) {
-	msg, more, err := readFrameInto(r, hdr)
-	if err != nil {
-		return nil, err
-	}
-	if !more {
-		if msg.Type == MsgFragment {
-			return nil, fmt.Errorf("giop: fragment without a preceding message")
-		}
-		return msg, nil
-	}
-	total := len(msg.Body)
-	for more {
-		frag, m, err := readFrameInto(r, hdr)
-		if err != nil {
-			return nil, fmt.Errorf("giop: reading continuation fragment: %w", err)
-		}
-		if frag.Type != MsgFragment {
-			return nil, fmt.Errorf("giop: expected Fragment, found %v", frag.Type)
-		}
-		if frag.Order != msg.Order {
-			return nil, fmt.Errorf("giop: fragment byte order changed mid-message")
-		}
-		total += len(frag.Body)
-		if total > MaxMessageSize {
-			return nil, fmt.Errorf("giop: reassembled message %d exceeds limit", total)
-		}
-		msg.Body = append(msg.Body, frag.Body...)
-		more = m
-	}
-	return msg, nil
-}

@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,9 +78,7 @@ type classQueue struct {
 // dispatchJob carries one parsed request from the connection read loop to
 // a class worker. Jobs are pooled; finish() returns them.
 type dispatchJob struct {
-	conn    net.Conn
-	writeMu *sync.Mutex
-	wg      *sync.WaitGroup // the owning connection's handler group
+	sc      *serverConn
 	order   cdr.ByteOrder
 	h       *giop.RequestHeader
 	args    []byte
@@ -178,19 +175,18 @@ func (d *dispatcher) queueFor(class string) *classQueue {
 // means the job was either queued or shed — accounted for either way.
 // submit never blocks: a full queue sheds instead of back-pressuring the
 // connection read loop.
-func (d *dispatcher) submit(conn net.Conn, writeMu *sync.Mutex, handlers *sync.WaitGroup,
-	order cdr.ByteOrder, h *giop.RequestHeader, args []byte, argsBuf *[]byte, class string) bool {
+func (d *dispatcher) submit(sc *serverConn, order cdr.ByteOrder, h *giop.RequestHeader,
+	args []byte, argsBuf *[]byte, class string) bool {
 	q := d.queueFor(class)
 	if q.policy.Workers <= 0 {
 		return false
 	}
 	job := jobPool.Get().(*dispatchJob)
 	*job = dispatchJob{
-		conn: conn, writeMu: writeMu, wg: handlers,
-		order: order, h: h, args: args, argsBuf: argsBuf,
+		sc: sc, order: order, h: h, args: args, argsBuf: argsBuf,
 		class: class, enq: time.Now(),
 	}
-	handlers.Add(1)
+	sc.handlers.Add(1)
 	select {
 	case q.ch <- job:
 	default:
@@ -213,7 +209,7 @@ func (d *dispatcher) worker(q *classQueue) {
 				ob.admission(job.class).admitted.Inc()
 				ob.phase(job.class).queueWait.Observe(wait)
 			}
-			d.orb.handleRequest(job.conn, job.writeMu, job.order, job.h, job.args, job.class)
+			d.orb.handleRequest(job.sc, job.order, job.h, job.args, job.class)
 		}
 		d.finish(job)
 	}
@@ -221,7 +217,7 @@ func (d *dispatcher) worker(q *classQueue) {
 
 // finish releases a job's resources after it was handled or shed.
 func (d *dispatcher) finish(job *dispatchJob) {
-	job.wg.Done()
+	job.sc.handlers.Done()
 	releaseArgs(job.argsBuf)
 	*job = dispatchJob{}
 	jobPool.Put(job)
@@ -248,7 +244,7 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 		o.Flight().Trigger(obs.AnomalyOverloadShed, obs.FlightRecord{
 			Operation: job.h.Operation,
 			Binding:   job.class,
-			Endpoint:  job.conn.RemoteAddr().String(),
+			Endpoint:  job.sc.peer,
 			Stripe:    -1,
 			Outcome:   "shed-" + reason,
 			Latency:   wait,
@@ -267,9 +263,7 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 	rh := giop.ReplyHeader{RequestID: job.h.RequestID, Status: out.Status}
 	rh.Marshal(e)
 	e.WriteOctets(out.Data)
-	job.writeMu.Lock()
-	err := giop.WriteFrame(job.conn, giop.MsgReply, e, o.opts.MaxFragment)
-	job.writeMu.Unlock()
+	err := job.sc.writeFrame(giop.MsgReply, e, o.opts.MaxFragment)
 	e.Release()
 	if err != nil {
 		o.opts.Logger.Warn("orb: writing shed reply failed", "err", err)

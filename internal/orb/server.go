@@ -146,6 +146,25 @@ func (o *ORB) acceptLoop(l net.Listener) {
 	}
 }
 
+// serverConn is one accepted connection as its read loop and request
+// handlers share it: replies are serialised by writeMu, handlers counts
+// the requests in flight, and peer is the remote address, resolved once.
+type serverConn struct {
+	conn     net.Conn
+	peer     string
+	writeMu  sync.Mutex
+	handlers sync.WaitGroup
+}
+
+// writeFrame writes one frame built in e under the connection's write
+// mutex: a bare conn write would tear frames against concurrent reply
+// writers.
+func (sc *serverConn) writeFrame(t giop.MsgType, e *cdr.Encoder, maxFragment int) error {
+	sc.writeMu.Lock()
+	defer sc.writeMu.Unlock()
+	return giop.WriteFrame(sc.conn, t, e, maxFragment)
+}
+
 // serveConn reads requests off one connection and hands each to the
 // dispatcher (bounded per-class worker pools) or, for unbounded classes,
 // its own goroutine; replies are serialised by a write mutex. The frame
@@ -159,9 +178,8 @@ func (o *ORB) serveConn(conn net.Conn) {
 		delete(o.serverConns, conn)
 		o.mu.Unlock()
 	}()
-	var writeMu sync.Mutex
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	sc := &serverConn{conn: conn, peer: conn.RemoteAddr().String()}
+	defer sc.handlers.Wait()
 
 	fr := giop.NewFrameReader(conn)
 	fr.ReuseBody(true)
@@ -176,13 +194,13 @@ func (o *ORB) serveConn(conn net.Conn) {
 			h, err := giop.UnmarshalRequestHeader(d)
 			if err != nil {
 				o.opts.Logger.Warn("orb: malformed request header", "err", err)
-				o.writeMessageError(conn, &writeMu)
+				o.writeMessageError(sc)
 				return
 			}
 			args, err := d.ReadOctets()
 			if err != nil {
 				o.opts.Logger.Warn("orb: malformed request body", "err", err)
-				o.writeMessageError(conn, &writeMu)
+				o.writeMessageError(sc)
 				return
 			}
 			argsCopy, argsBuf := acquireArgs(args)
@@ -193,16 +211,16 @@ func (o *ORB) serveConn(conn net.Conn) {
 				class = qosClass(h.Contexts)
 			}
 			if o.dispatcher != nil &&
-				o.dispatcher.submit(conn, &writeMu, &handlers, msg.Order, h, argsCopy, argsBuf, class) {
+				o.dispatcher.submit(sc, msg.Order, h, argsCopy, argsBuf, class) {
 				break // queued or shed; accounted for either way
 			}
 			// msg is the reader's reused message — copy what outlives
 			// this loop iteration before handing off.
 			order := msg.Order
-			handlers.Add(1)
+			sc.handlers.Add(1)
 			go func() {
-				defer handlers.Done()
-				o.handleRequest(conn, &writeMu, order, h, argsCopy, class)
+				defer sc.handlers.Done()
+				o.handleRequest(sc, order, h, argsCopy, class)
 				releaseArgs(argsBuf)
 			}()
 		case giop.MsgLocateRequest:
@@ -217,9 +235,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 			}
 			e := giop.AcquireFrameEncoder(o.opts.Order)
 			(&giop.LocateReplyHeader{RequestID: h.RequestID, Status: status}).Marshal(e)
-			writeMu.Lock()
-			_ = giop.WriteFrame(conn, giop.MsgLocateReply, e, 0)
-			writeMu.Unlock()
+			_ = sc.writeFrame(giop.MsgLocateReply, e, 0)
 			e.Release()
 		case giop.MsgCancelRequest:
 			// Dispatch is not interruptible; the cancel is a hint we log.
@@ -236,12 +252,11 @@ func (o *ORB) serveConn(conn net.Conn) {
 }
 
 // writeMessageError reports a protocol error to the peer under the
-// connection's write mutex — a bare conn write here would tear frames
-// against concurrent reply writers.
-func (o *ORB) writeMessageError(conn net.Conn, writeMu *sync.Mutex) {
-	writeMu.Lock()
-	_ = giop.WriteMessage(conn, giop.MsgMessageError, o.opts.Order, nil)
-	writeMu.Unlock()
+// connection's write mutex.
+func (o *ORB) writeMessageError(sc *serverConn) {
+	sc.writeMu.Lock()
+	_ = giop.WriteMessage(sc.conn, giop.MsgMessageError, o.opts.Order, nil)
+	sc.writeMu.Unlock()
 }
 
 // serverReqPool recycles ServerRequest structs across dispatches; the
@@ -253,7 +268,7 @@ var serverReqPool = sync.Pool{New: func() any { return new(ServerRequest) }}
 // servant dispatch, and writes the reply. class is the request's QoS
 // class when the caller already resolved it ("" lets telemetry resolve
 // it on demand).
-func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOrder, h *giop.RequestHeader, args []byte, class string) {
+func (o *ORB) handleRequest(sc *serverConn, order cdr.ByteOrder, h *giop.RequestHeader, args []byte, class string) {
 	req := serverReqPool.Get().(*ServerRequest)
 	*req = ServerRequest{
 		ObjectKey: h.ObjectKey,
@@ -262,7 +277,7 @@ func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOr
 		Args:      args,
 		Order:     order,
 		Out:       cdr.AcquireEncoder(order),
-		Peer:      conn.RemoteAddr().String(),
+		Peer:      sc.peer,
 		OneWay:    !h.ResponseExpected,
 	}
 
@@ -344,9 +359,7 @@ func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOr
 	rh := giop.ReplyHeader{Contexts: req.OutContexts, RequestID: h.RequestID, Status: status}
 	rh.Marshal(e)
 	e.WriteOctets(body)
-	writeMu.Lock()
-	err := giop.WriteFrame(conn, giop.MsgReply, e, o.opts.MaxFragment)
-	writeMu.Unlock()
+	err := sc.writeFrame(giop.MsgReply, e, o.opts.MaxFragment)
 	e.Release()
 	if pd != nil {
 		pd.replyWire.Observe(time.Since(wireStart))
